@@ -475,23 +475,19 @@ let lossy ~full () =
     (List.map (fun (r : Figures.channel_row) -> r.c_detection) rows)
 
 let validator_scale ~full () =
-  section "Validator scaling: trigger rate x shard count (batched ingest)";
-  note "verdict counts must match across shard counts; per-shard batch \
-        counters show the fan-out (single-core containers cap the \
-        wall-clock speedup — see DESIGN.md)";
+  section "Validator scaling: trigger rate sweep (batched ingest)";
+  note "verdict throughput and batch sizes as the offered trigger rate \
+        grows";
   let duration = Time.sec (if full then 10 else 3) in
   let rows = Figures.validator_scale ~duration () in
   let t =
     Table.create
-      ~header:
-        [ "rate"; "shards"; "decided"; "verdicts/s"; "batches"; "resp/batch";
-          "per-shard batches" ]
+      ~header:[ "rate"; "decided"; "verdicts/s"; "batches"; "resp/batch" ]
   in
   List.iter
     (fun (r : Figures.scale_row) ->
       Table.add_row t
         [ Printf.sprintf "%.0f" r.vs_rate;
-          string_of_int r.vs_shards;
           string_of_int r.vs_decided;
           Printf.sprintf "%.0f" r.vs_verdicts_per_s;
           string_of_int r.vs_batches;
@@ -499,58 +495,28 @@ let validator_scale ~full () =
            else
              Printf.sprintf "%.1f"
                (float_of_int r.vs_batched_responses
-               /. float_of_int r.vs_batches));
-          String.concat "/" (List.map string_of_int r.vs_shard_batches) ])
+               /. float_of_int r.vs_batches)) ])
     rows;
-  Table.print t;
-  (* Speedup per rate: shards=max vs shards=1, same workload. *)
-  let by_rate = Hashtbl.create 8 in
-  List.iter
-    (fun (r : Figures.scale_row) ->
-      let prev = try Hashtbl.find by_rate r.vs_rate with Not_found -> [] in
-      Hashtbl.replace by_rate r.vs_rate (r :: prev))
-    rows;
-  Hashtbl.fold (fun rate rs acc -> (rate, List.rev rs) :: acc) by_rate []
-  |> List.sort compare
-  |> List.iter (fun (rate, rs) ->
-         match
-           ( List.find_opt (fun (r : Figures.scale_row) -> r.vs_shards = 1) rs,
-             List.fold_left
-               (fun acc (r : Figures.scale_row) ->
-                 match acc with
-                 | Some (b : Figures.scale_row) when b.vs_shards >= r.vs_shards
-                   -> acc
-                 | _ -> Some r)
-               None rs )
-         with
-         | Some base, Some best when base.vs_shards <> best.vs_shards ->
-             note "=> %.0f pps: %.2fx verdicts/s at shards=%d vs shards=1 \
-                   (decided %d vs %d%s)"
-               rate
-               (if base.vs_verdicts_per_s > 0. then
-                  best.vs_verdicts_per_s /. base.vs_verdicts_per_s
-                else 0.)
-               best.vs_shards best.vs_decided base.vs_decided
-               (if best.vs_decided = base.vs_decided then ", identical"
-                else " -- MISMATCH")
-         | _ -> ())
+  Table.print t
 
 (* Filled by [firehose] so --json can report the sweep rows. *)
 let firehose_rows : Firehose_bench.row list ref = ref []
 
 let firehose ~full () =
-  section "Firehose: staged validation pipeline throughput (jobs x shards)";
+  section "Firehose: staged validation pipeline throughput (pipeline jobs)";
   note "wall-clock ingest of a heavy-tailed capture stream (2M-host \
         enterprise profile); trigger/verdict counts must be identical \
-        across every (jobs, shards) point (single-core containers cap \
-        the wall-clock speedup -- see DESIGN.md)";
+        across every job count. The stream has no simulation for the \
+        pipeline to overlap with, so on 2 cores jobs=2 breaks about \
+        even here, while whole simulate runs gain about 1.5x at \
+        jobs=2 -- see DESIGN.md";
   let duration = Time.ms (if full then 2000 else 300) in
   let rows = Firehose_bench.sweep ~duration () in
   firehose_rows := !firehose_rows @ rows;
   let t =
     Table.create
       ~header:
-        [ "profile"; "jobs"; "shards"; "triggers"; "decided"; "wall s";
+        [ "profile"; "jobs"; "triggers"; "decided"; "wall s";
           "events/s"; "verdicts/s"; "spawned" ]
   in
   let baseline =
@@ -568,7 +534,6 @@ let firehose ~full () =
       Table.add_row t
         [ r.fh_profile;
           string_of_int r.fh_jobs;
-          string_of_int r.fh_shards;
           string_of_int r.fh_triggers;
           string_of_int r.fh_decided ^ (if identical then "" else " MISMATCH");
           Printf.sprintf "%.2f" r.fh_wall_s;
@@ -582,8 +547,8 @@ let firehose ~full () =
       List.iter
         (fun (r : Firehose_bench.row) ->
           if r.fh_jobs > 1 then
-            note "=> jobs=%d shards=%d: %.2fx verdicts/s vs serial%s"
-              r.fh_jobs r.fh_shards
+            note "=> jobs=%d: %.2fx verdicts/s vs serial%s"
+              r.fh_jobs
               (r.fh_verdicts_per_s /. b.fh_verdicts_per_s)
               (if r.fh_decided = b.fh_decided then "" else " -- MISMATCH"))
         rows
@@ -759,7 +724,7 @@ type record = {
   r_wall_s : float;
   r_events : int;  (** simulator events executed, summed over domains *)
   r_verdicts : int;  (** validator verdicts decided, summed over domains *)
-  r_batches : int;  (** per-shard response batches delivered *)
+  r_batches : int;  (** response batches delivered *)
   r_overloads : int;  (** triggers force-expired at max_inflight *)
 }
 
@@ -808,7 +773,7 @@ let write_json path ~jobs ~full records =
   Buffer.add_string buf "  \"firehose\": [\n";
   List.iteri
     (fun i (r : Firehose_bench.row) ->
-      (* Verdict counts must be independent of (jobs, shards): compare
+      (* Verdict counts must be independent of the job count: compare
          each row against its profile's serial row so CI can grep for
          "verdicts_match": false. *)
       let matches =
@@ -826,12 +791,12 @@ let write_json path ~jobs ~full records =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"profile\": \"%s\", \"jobs\": %d, \"shards\": %d, \
+           "    {\"profile\": \"%s\", \"jobs\": %d, \
             \"triggers\": %d, \"responses\": %d, \"decided\": %d, \
             \"faults\": %d, \"wall_s\": %.3f, \"events_per_sec\": %.1f, \
             \"verdicts_per_sec\": %.1f, \"domains_spawned\": %d, \
             \"verdicts_match\": %b}%s\n"
-           (json_escape r.fh_profile) r.fh_jobs r.fh_shards r.fh_triggers
+           (json_escape r.fh_profile) r.fh_jobs r.fh_triggers
            r.fh_responses r.fh_decided r.fh_faults r.fh_wall_s
            r.fh_events_per_s r.fh_verdicts_per_s r.fh_domains_spawned matches
            (if i = List.length !firehose_rows - 1 then "" else ",")))

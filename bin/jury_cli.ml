@@ -6,10 +6,10 @@
      matrix [...]                 -- run every scenario N times on a domain
                                      pool, print the detection matrix
      simulate [...]               -- benign run, print validation stats
-     validator-scale [...]        -- trigger-rate x shard-count sweep
+     validator-scale [...]        -- trigger-rate sweep
      policy FILE                  -- parse and lint a policy file (.xml or DSL)
 
-   Shared flags (--nodes, --k, --seed, --shards, --batch-us, ...) are
+   Shared flags (--nodes, --k, --seed, --batch-us, ...) are
    declared once in the Common table below and reused by every
    subcommand that understands them. *)
 
@@ -45,21 +45,14 @@ module Common = struct
                    \\$JURY_JOBS if set, else cores - 1; 1 = serial). \
                    Results are byte-identical whatever the value.")
 
-  (* Validator tuning: the sharded/bounded/batched verdict state. The
-     three flags travel together as one [tuning] value. *)
+  (* Validator tuning: the bounded/batched/pipelined verdict state.
+     The three flags travel together as one [tuning] value. *)
 
   type tuning = {
-    shards : int;
     max_inflight : int option;
     batch : Time.t option;
     pipeline_jobs : int;
   }
-
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ]
-             ~doc:"Validator shard-count hint, rounded up to a power of \
-                   two (1 = seed behaviour).")
 
   let max_inflight =
     Arg.(value & opt (some int) None
@@ -84,10 +77,10 @@ module Common = struct
                    behaviour; results are identical whatever the value).")
 
   let tuning =
-    let mk shards max_inflight batch_us pipeline_jobs =
-      { shards; max_inflight; batch = batch_of_us batch_us; pipeline_jobs }
+    let mk max_inflight batch_us pipeline_jobs =
+      { max_inflight; batch = batch_of_us batch_us; pipeline_jobs }
     in
-    Term.(const mk $ shards $ max_inflight $ batch_us $ pipeline_jobs)
+    Term.(const mk $ max_inflight $ batch_us $ pipeline_jobs)
 
   (* Oracle selection is shared by `check --oracle` and `mc --oracle`;
      both resolve through the same name table, so the two subcommands
@@ -98,7 +91,7 @@ module Common = struct
     Arg.(value & opt (some string) None
          & info [ "oracle" ] ~docv:"SELECTOR"
              ~doc:"Restrict the battery to one oracle family \
-                   ($(b,conservation), $(b,sharding), $(b,batching), \
+                   ($(b,conservation), $(b,batching), \
                    $(b,parallel), $(b,pipeline), $(b,channel), $(b,obs), \
                    $(b,policy)) or one oracle by name; $(b,--oracle) with \
                    an unknown selector lists every valid choice.")
@@ -144,7 +137,6 @@ let scenario_cmd =
     | Some scenario ->
         let report =
           Jury_faults.Runner.run ~seed ~nodes ~k ~faulty ~switches
-            ~shards:tuning.Common.shards
             ?max_inflight:tuning.Common.max_inflight
             ?batch:tuning.Common.batch
             ~pipeline_jobs:tuning.Common.pipeline_jobs scenario
@@ -287,7 +279,6 @@ let simulate_cmd =
     let deployment =
       Jury.Jury_config.install cluster
         (Jury.Jury_config.make ~k ~channel ?retransmit ?degraded_quorum
-           ~shards:tuning.Common.shards
            ?max_inflight:tuning.Common.max_inflight ?batch:tuning.Common.batch
            ~pipeline_jobs:tuning.Common.pipeline_jobs ?election ())
     in
@@ -330,24 +321,18 @@ let simulate_cmd =
         (Jury.Validator.straggler_count validator)
         (Jury.Validator.degraded_count validator)
     end;
-    if
-      tuning.Common.shards > 1
-      || tuning.Common.batch <> None
-      || tuning.Common.max_inflight <> None
+    if tuning.Common.batch <> None || tuning.Common.max_inflight <> None
     then begin
       Printf.printf
-        "validator: %d shard(s), %d batch(es) carrying %d response(s), %d \
-         overload verdict(s)\n"
-        (Jury.Validator.shard_count validator)
+        "validator: %d batch(es) carrying %d response(s), %d overload \
+         verdict(s)\n"
         (Jury.Validator.batch_count validator)
         (Jury.Validator.batched_response_count validator)
         (Jury.Validator.overload_count validator);
-      List.iter
-        (fun (s : Jury.Validator.shard_stats) ->
-          Printf.printf "  shard %d: decided %d, batches %d, overloads %d\n"
-            s.Jury.Validator.shard_index s.Jury.Validator.shard_decided
-            s.Jury.Validator.shard_batches s.Jury.Validator.shard_overloads)
-        (Jury.Validator.shard_stats validator)
+      Printf.printf "  decided %d, batches %d, overloads %d\n"
+        (Jury.Validator.decided_count validator)
+        (Jury.Validator.batch_count validator)
+        (Jury.Validator.overload_count validator)
     end
   in
   Cmd.v
@@ -536,42 +521,34 @@ let validator_scale_cmd =
          & info [ "rates" ] ~docv:"R1,R2,..."
              ~doc:"PACKET_IN rates to sweep.")
   in
-  let shards_list_arg =
-    Arg.(value & opt (list int) [ 1; 2; 4 ]
-         & info [ "shard-counts" ] ~docv:"S1,S2,..."
-             ~doc:"Shard counts to sweep (each rounded up to a power of \
-                   two).")
-  in
   let duration_arg =
     Arg.(value & opt int 3 & info [ "duration" ] ~doc:"Seconds of workload.")
   in
-  let run seed duration rates shard_counts jobs max_inflight batch_us =
+  let run seed duration rates jobs max_inflight batch_us =
     Option.iter Jury_par.Pool.set_default_jobs jobs;
     let rows =
       Jury_experiments.Figures.validator_scale ~seed
-        ~duration:(Time.sec duration) ~rates ~shard_counts ?max_inflight
+        ~duration:(Time.sec duration) ~rates ?max_inflight
         ?batch:(Common.batch_of_us batch_us) ()
     in
-    Printf.printf "%-8s %-7s %-8s %-11s %-8s %s\n" "rate" "shards" "decided"
-      "verdicts/s" "batches" "per-shard batches";
+    Printf.printf "%-8s %-8s %-11s %-8s %s\n" "rate" "decided" "verdicts/s"
+      "batches" "overloads";
     List.iter
       (fun (r : Jury_experiments.Figures.scale_row) ->
-        Printf.printf "%-8.0f %-7d %-8d %-11.0f %-8d %s\n"
-          r.Jury_experiments.Figures.vs_rate r.Jury_experiments.Figures.vs_shards
+        Printf.printf "%-8.0f %-8d %-11.0f %-8d %d\n"
+          r.Jury_experiments.Figures.vs_rate
           r.Jury_experiments.Figures.vs_decided
           r.Jury_experiments.Figures.vs_verdicts_per_s
           r.Jury_experiments.Figures.vs_batches
-          (String.concat "/"
-             (List.map string_of_int
-                r.Jury_experiments.Figures.vs_shard_batches)))
+          r.Jury_experiments.Figures.vs_overloads)
       rows
   in
   Cmd.v
     (Cmd.info "validator-scale"
-       ~doc:"Sweep trigger rate x validator shard count with batched \
-             response ingestion and print per-shard throughput")
-    Term.(const run $ Common.seed $ duration_arg $ rates_arg $ shards_list_arg
-          $ Common.jobs $ Common.max_inflight $ Common.batch_us)
+       ~doc:"Sweep the trigger rate with batched response ingestion and \
+             print validator throughput")
+    Term.(const run $ Common.seed $ duration_arg $ rates_arg $ Common.jobs
+          $ Common.max_inflight $ Common.batch_us)
 
 (* --- policy --- *)
 
@@ -765,7 +742,7 @@ let check_cmd =
            `P "Generates random cases (topology, workload, fault schedule, \
                channel and validator configuration), runs each through the \
                full deployment, and checks the oracle battery: verdict \
-               conservation, shard-count independence, batching and \
+               conservation, batching and \
                serial/parallel equivalence, pipeline-job independence, \
                channel counter conservation and observability \
                consistency.";

@@ -38,7 +38,6 @@ type t = {
   jitter_us : float;
   retries : int;
   degraded_quorum : int option;
-  shards : int;
   max_inflight : int option;
   batch_us : int option;
   triggers : int;
@@ -90,7 +89,10 @@ let gen : int -> t Gen.t =
   @@ fun jitter_us ->
   bind (int_in 0 2) @@ fun retries ->
   bind (option 0.3 (int_in 1 k)) @@ fun degraded_quorum ->
-  bind (choose [ 1; 2; 4 ]) @@ fun shards ->
+  (* Retired axis (the validator's old shard count): the draw stays
+     and its value is discarded, so every later field of every seed's
+     case — and so every pinned blind run — is unchanged. *)
+  bind (choose [ 1; 2; 4 ]) @@ fun _ ->
   bind (option 0.2 (int_in 64 512)) @@ fun max_inflight ->
   bind (option 0.4 (int_in 50 500)) @@ fun batch_us ->
   map
@@ -114,7 +116,6 @@ let gen : int -> t Gen.t =
         jitter_us;
         retries;
         degraded_quorum;
-        shards;
         max_inflight;
         batch_us;
         triggers })
@@ -128,9 +129,8 @@ let channel t =
   Jury.Jury_config.lossy_channel ~drop:t.drop ~duplicate:t.duplicate
     ~jitter_us:t.jitter_us ()
 
-let jury_config ?shards ?batch_us ?pipeline_jobs ?policies
+let jury_config ?batch_us ?pipeline_jobs ?policies
     ?(force_reliable = false) ?(deterministic = false) t =
-  let shards = Option.value shards ~default:t.shards in
   let batch_us = Option.value batch_us ~default:t.batch_us in
   let channel =
     if force_reliable then (
@@ -155,7 +155,7 @@ let jury_config ?shards ?batch_us ?pipeline_jobs ?policies
     | Some _ -> (None, None, Some (Option.value batch_us ~default:200))
   in
   Jury.Jury_config.make ~k:t.k ~encapsulation:t.odl ~channel ?retransmit
-    ?degraded_quorum:t.degraded_quorum ~shards ?max_inflight
+    ?degraded_quorum:t.degraded_quorum ?max_inflight
     ?batch:(Option.map Jury_sim.Time.us batch_us)
     ?pipeline_jobs ?policies ~deterministic_latencies:deterministic ()
 
@@ -190,7 +190,7 @@ let action_name = function
 let pp ppf t =
   Format.fprintf ppf
     "seed=%d %s sw=%d hps=%d n=%d k=%d %s %s rate=%.0f dur=%dms faults=[%s] \
-     drop=%.3f dup=%.3f jit=%.0fus retries=%d degq=%s shards=%d inflight=%s \
+     drop=%.3f dup=%.3f jit=%.0fus retries=%d degq=%s inflight=%s \
      batch=%s triggers=%d"
     t.case_seed (topo_name t.topo) t.switches t.hosts_per_switch t.nodes t.k
     (if t.odl then "odl" else "onos")
@@ -201,7 +201,6 @@ let pp ppf t =
           t.faults))
     t.drop t.duplicate t.jitter_us t.retries
     (match t.degraded_quorum with None -> "-" | Some q -> string_of_int q)
-    t.shards
     (match t.max_inflight with None -> "-" | Some m -> string_of_int m)
     (match t.batch_us with None -> "-" | Some b -> string_of_int b ^ "us")
     t.triggers
@@ -270,7 +269,6 @@ let to_ocaml ?(indent = "  ") t =
   line "jitter_us = %s;" (float_lit t.jitter_us);
   line "retries = %d;" t.retries;
   line "degraded_quorum = %s;" (option_lit string_of_int t.degraded_quorum);
-  line "shards = %d;" t.shards;
   line "max_inflight = %s;" (option_lit string_of_int t.max_inflight);
   line "batch_us = %s;" (option_lit string_of_int t.batch_us);
   line "triggers = %d }" t.triggers;
@@ -431,11 +429,6 @@ module Lens = struct
         (fun c v ->
           { c with
             degraded_quorum = Option.map (fun q -> max 1 (min q c.k)) v }) }
-
-  let shards =
-    { name = "shards";
-      get = (fun c -> c.shards);
-      set = (fun c v -> { c with shards = max 1 (min 8 v) }) }
 
   let max_inflight =
     { name = "max_inflight";

@@ -84,7 +84,6 @@ type t = {
   jitter_us : float;     (** channel reorder jitter (mean, µs) *)
   retries : int;         (** retransmission rounds; 0 = none *)
   degraded_quorum : int option;
-  shards : int;          (** validator shard hint *)
   max_inflight : int option;
   batch_us : int option; (** response-ingestion batch window *)
   triggers : int;        (** synthetic stream length for the batching oracle *)
@@ -103,13 +102,13 @@ val channel : t -> Jury.Channel.profile
     [Jury_config.lossy_channel], so the knobs are validated). *)
 
 val jury_config :
-  ?shards:int -> ?batch_us:int option -> ?pipeline_jobs:int ->
+  ?batch_us:int option -> ?pipeline_jobs:int ->
   ?policies:Jury_policy.Engine.t ->
   ?force_reliable:bool -> ?deterministic:bool -> t ->
   Jury.Jury_config.t
 (** The {!Jury.Jury_config.t} the case denotes. The optional arguments
-    override single axes for the equivalence oracles: [shards] and
-    [batch_us] replace the case's values; [force_reliable] substitutes
+    override single axes for the equivalence oracles: [batch_us]
+    replaces the case's value; [force_reliable] substitutes
     {!Jury.Channel.reliable} for the case's (zero-loss) profile;
     [deterministic] sets [deterministic_latencies] (the schedule
     explorer's jitter-free mode, see {!Jury.Jury_config.make}).
@@ -177,7 +176,6 @@ module Lens : sig
   val jitter_us : float axis
   val retries : int axis
   val degraded_quorum : int option axis
-  val shards : int axis
   val max_inflight : int option axis
   val batch_us : int option axis
   val triggers : int axis

@@ -16,7 +16,7 @@ type summary = {
 }
 
 (* The cheap per-run families: one deployment execution plus a replay,
-   no shard/batch/parallel sweeps — the right cost profile for a
+   no batch/parallel/pipeline sweeps — the right cost profile for a
    budget loop that wants throughput. *)
 let default_oracles () =
   Registry.by_family "conservation"

@@ -134,13 +134,12 @@ let channel_churn rng (c : Case.t) =
   | _ -> Some (Lens.retries.Lens.set c (Rng.int rng 4))
 
 let validator_churn rng (c : Case.t) =
-  match Rng.int rng 4 with
-  | 0 -> Some (Lens.shards.Lens.set c (1 + Rng.int rng 8))
-  | 1 ->
+  match Rng.int rng 3 with
+  | 0 ->
       Some
         (Lens.max_inflight.Lens.set c
            (if Rng.bool rng then None else Some (1 + Rng.int rng 64)))
-  | 2 ->
+  | 1 ->
       Some
         (Lens.batch_us.Lens.set c
            (if Rng.bool rng then None else Some (50 + Rng.int rng 450)))

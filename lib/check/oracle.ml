@@ -9,7 +9,7 @@ module Names = Jury_store.Cache_names
 type result = Pass | Fail of string
 
 type executor =
-  ?shards:int -> ?batch_us:int option -> ?pipeline_jobs:int ->
+  ?batch_us:int option -> ?pipeline_jobs:int ->
   ?force_reliable:bool -> Case.t ->
   Run.outcome
 
@@ -19,8 +19,8 @@ let ctx_with ~execute case = { case; execute; base = lazy (execute case) }
 
 let ctx case =
   ctx_with case
-    ~execute:(fun ?shards ?batch_us ?pipeline_jobs ?force_reliable c ->
-      Run.execute ?shards ?batch_us ?pipeline_jobs ?force_reliable c)
+    ~execute:(fun ?batch_us ?pipeline_jobs ?force_reliable c ->
+      Run.execute ?batch_us ?pipeline_jobs ?force_reliable c)
 
 type t = {
   name : string;
@@ -97,19 +97,6 @@ let replay_determinism { case; base; execute } =
       else Fail "channel totals differ between identical executions"
   | Some d -> failf "replay diverged: %s" d
 
-(* --- sharding ----------------------------------------------------- *)
-
-let shard_independence { case; base; execute } =
-  let at_1 =
-    if case.Case.shards = 1 then Lazy.force base else execute ~shards:1 case
-  in
-  let at_4 =
-    if case.Case.shards = 4 then Lazy.force base else execute ~shards:4 case
-  in
-  match Run.diff_fingerprint at_1.Run.fp at_4.Run.fp with
-  | None -> Pass
-  | Some d -> failf "shards=1 vs shards=4: %s" d
-
 (* --- batching (synthetic stream against a bare validator) --------- *)
 
 (* A randomised but deterministic response stream: [case.triggers]
@@ -170,7 +157,7 @@ let synthetic_stream (case : Case.t) =
   Rng.shuffle rng stream;
   (List.rev !registrations, Array.to_list stream)
 
-let bare_validator (case : Case.t) ~shards =
+let bare_validator (case : Case.t) =
   let engine = Engine.create ~seed:case.Case.case_seed () in
   let max_inflight =
     Option.map (fun _ -> max 2 (case.Case.triggers / 2)) case.Case.max_inflight
@@ -178,7 +165,7 @@ let bare_validator (case : Case.t) ~shards =
   let cfg =
     Jury.Jury_config.validator
       ~ack_peers_of:(fun _ -> [])
-      (Jury.Jury_config.make ~k:case.Case.k ~timeout:(Time.ms 100) ~shards
+      (Jury.Jury_config.make ~k:case.Case.k ~timeout:(Time.ms 100)
          ?max_inflight ())
   in
   Validator.create engine cfg
@@ -200,8 +187,8 @@ let chunk sizes_rng stream =
 
 let batch_equivalence { case; _ } =
   let registrations, stream = synthetic_stream case in
-  let drive ~shards deliver =
-    let v = bare_validator case ~shards in
+  let drive deliver =
+    let v = bare_validator case in
     List.iter
       (fun (taint, primary, secondaries) ->
         Validator.register_external v ~taint ~at:Time.zero ~primary
@@ -214,16 +201,13 @@ let batch_equivalence { case; _ } =
       Validator.late_count v,
       Validator.straggler_count v )
   in
-  let per_event =
-    drive ~shards:1 (fun v -> List.iter (Validator.deliver v) stream)
-  in
-  let one_batch = drive ~shards:1 (fun v -> Validator.deliver_batch v stream) in
+  let per_event = drive (fun v -> List.iter (Validator.deliver v) stream) in
+  let one_batch = drive (fun v -> Validator.deliver_batch v stream) in
   let chunked =
-    drive ~shards:1 (fun v ->
+    drive (fun v ->
         let rng = Rng.create (case.Case.case_seed lxor 0x0c_4a_11) in
         List.iter (Validator.deliver_batch v) (chunk rng stream))
   in
-  let sharded = drive ~shards:4 (fun v -> Validator.deliver_batch v stream) in
   let compare_to label (fp', d', l', s') =
     let fp, d, l, s = per_event in
     match Run.diff_fingerprint fp fp' with
@@ -239,9 +223,7 @@ let batch_equivalence { case; _ } =
   in
   match
     List.filter_map Fun.id
-      [ compare_to "one-batch" one_batch;
-        compare_to "chunked" chunked;
-        compare_to "sharded-batch" sharded ]
+      [ compare_to "one-batch" one_batch; compare_to "chunked" chunked ]
   with
   | [] -> Pass
   | msg :: _ -> Fail msg
@@ -290,9 +272,9 @@ let parallel_identity { case; execute; _ } =
    channel and ingestion counter. [Run.execute ~pipeline_jobs]
    projects the case onto the pipeline-eligible feature set — jobs=1
    included, so all three runs share one configuration and differ only
-   in where validation executes. The rendered report is excluded from
-   the comparison: its suspect ranking breaks alarm-count ties in hash
-   order, which the shard merge may legitimately permute. *)
+   in where validation executes. The rendered report is compared too:
+   its rankings break ties by controller id and fault name, never by
+   hash order. *)
 let pipeline_jobs_independence { case; execute; _ } =
   let trimmed =
     { case with
@@ -302,7 +284,7 @@ let pipeline_jobs_independence { case; execute; _ } =
         (* Add_rule is also dropped: the staged path excludes policy
            rules by construction (the install-time gate sees an empty
            engine), and a mid-run [add_rule] would mutate an engine
-           shared with detached shard replicas. The invariant under
+           shared with detached pipeline replicas. The invariant under
            test — job count unobservable — is about the pipeline, not
            policy churn. *)
         List.filter
@@ -311,7 +293,6 @@ let pipeline_jobs_independence { case; execute; _ } =
             && match f.Case.action with Case.Add_rule _ -> false | _ -> true)
           case.Case.faults }
   in
-  let strip (o : Run.outcome) = { o.Run.fp with Run.report = "" } in
   let conserved (o : Run.outcome) =
     ( o.Run.pending_after_flush, o.Run.duplicates, o.Run.late,
       o.Run.stragglers, o.Run.batches, o.Run.batched_responses,
@@ -321,7 +302,7 @@ let pipeline_jobs_independence { case; execute; _ } =
   let serial = execute ~pipeline_jobs:1 trimmed in
   let against jobs =
     let o = execute ~pipeline_jobs:jobs trimmed in
-    match Run.diff_fingerprint (strip serial) (strip o) with
+    match Run.diff_fingerprint serial.Run.fp o.Run.fp with
     | Some d -> Some (Printf.sprintf "jobs=1 vs jobs=%d: %s" jobs d)
     | None ->
         if conserved serial <> conserved o then
@@ -379,16 +360,16 @@ let obs_consistency { base; _ } =
   let o = Lazy.force base in
   all_pass
     [ (o.Run.obs_decided = o.Run.fp.Run.decided,
-       Printf.sprintf "obs shard decided sum %d <> decided %d"
+       Printf.sprintf "obs decided %d <> decided %d"
          o.Run.obs_decided o.Run.fp.Run.decided);
       (o.Run.obs_batches = o.Run.batches,
-       Printf.sprintf "obs batches sum %d <> batch count %d" o.Run.obs_batches
+       Printf.sprintf "obs batches %d <> batch count %d" o.Run.obs_batches
          o.Run.batches);
       (o.Run.obs_overloads = o.Run.fp.Run.overload,
-       Printf.sprintf "obs overload sum %d <> overload count %d"
+       Printf.sprintf "obs overloads %d <> overload count %d"
          o.Run.obs_overloads o.Run.fp.Run.overload);
       (o.Run.obs_retransmits = o.Run.retransmits,
-       Printf.sprintf "obs retransmit sum %d <> retransmit count %d"
+       Printf.sprintf "obs retransmits %d <> retransmit count %d"
          o.Run.obs_retransmits o.Run.retransmits);
       (o.Run.obs_epoch = o.Run.epoch,
        Printf.sprintf "obs epoch %d <> current epoch %d" o.Run.obs_epoch

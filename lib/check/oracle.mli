@@ -1,6 +1,6 @@
 (** The machine-checkable invariants each generated case is held to.
 
-    Oracles are grouped into eight families, one per soundness claim
+    Oracles are grouped into seven families, one per soundness claim
     the codebase accumulated over PR 1–4, the policy compiler and the
     staged validation pipeline:
 
@@ -11,22 +11,18 @@
       and a second execution of the same case reproduces the run
       bit-identically (the replay guarantee every other oracle rests
       on).
-    - [sharding] — verdicts are independent of the shard count: the
-      case at [shards = 1] and [shards = 4] yields equal fingerprints.
     - [batching] — [deliver_batch] is equivalent to per-event
       [deliver]: a synthetic response stream (random registrations,
       omissions, duplicates, divergent snapshots and actions) drives a
-      bare validator to the same verdicts however it is chunked, and
-      whatever the shard count.
+      bare validator to the same verdicts however it is chunked.
     - [parallel] — a mini-sweep of the case fanned out on a
       {!Jury_par.Pool} returns byte-identical results at [jobs = 1] and
       [jobs = 2].
     - [pipeline] — intra-run parallelism is unobservable: the case
       (projected onto the pipeline-eligible feature set, see
-      {!Case.jury_config}) yields the same verdict multiset and
-      conserved channel/ingestion counters at [pipeline_jobs] 1, 2
-      and 4; only the rendered report (whose suspect ranking breaks
-      ties in hash order) is outside the comparison.
+      {!Case.jury_config}) yields the same verdict multiset, rendered
+      report and conserved channel/ingestion counters at
+      [pipeline_jobs] 1, 2 and 4.
     - [channel] — per-link counter conservation
       ([sent = delivered + dropped], retransmits only when configured),
       and on zero-loss cases, bit-identity with an explicit
@@ -45,7 +41,7 @@
 
     The battery is executor-polymorphic: a context built with
     {!ctx_with} routes the base run {e and} every oracle re-execution
-    (replay, shard/reliability overrides, the mini parallel sweep)
+    (replay, reliability override, the mini parallel sweep)
     through the caller's executor. The schedule explorer uses this to
     assert the full battery on a run pinned to one explored schedule;
     {!ctx} keeps the plain {!Run.execute} path. An executor must be
@@ -56,7 +52,7 @@
 type result = Pass | Fail of string
 
 type executor =
-  ?shards:int -> ?batch_us:int option -> ?pipeline_jobs:int ->
+  ?batch_us:int option -> ?pipeline_jobs:int ->
   ?force_reliable:bool -> Case.t ->
   Run.outcome
 (** How this battery run turns a case into an outcome; the optional
@@ -78,7 +74,7 @@ val ctx_with : execute:executor -> Case.t -> ctx
 
 type t = {
   name : string;    (** stable identifier, e.g. ["verdict-conservation"] *)
-  family : string;  (** one of the eight families above *)
+  family : string;  (** one of the seven families above *)
   doc : string;     (** one-line description, surfaced by the CLI *)
   check : ctx -> result;
 }
@@ -91,7 +87,6 @@ type t = {
 val verdict_conservation : ctx -> result
 val report_consistency : ctx -> result
 val replay_determinism : ctx -> result
-val shard_independence : ctx -> result
 val batch_equivalence : ctx -> result
 val parallel_identity : ctx -> result
 val pipeline_jobs_independence : ctx -> result

@@ -54,13 +54,10 @@ let () =
   register ~family:"conservation" ~name:"replay-determinism"
     ~doc:"a second execution of the same case reproduces the run bit-identically"
     Oracle.replay_determinism;
-  register ~family:"sharding" ~name:"shard-independence"
-    ~doc:"shards=1 and shards=4 yield equal fingerprints"
-    Oracle.shard_independence;
   register ~family:"batching" ~name:"batch-equivalence"
     ~doc:
       "deliver_batch is equivalent to per-event deliver on a synthetic \
-       response stream, however chunked and sharded"
+       response stream, however chunked"
     Oracle.batch_equivalence;
   register ~family:"parallel" ~name:"serial-parallel-identity"
     ~doc:"a mini-sweep on the domain pool is byte-identical at jobs 1 and 2"

@@ -23,7 +23,6 @@ type outcome = {
   stragglers : int;
   batches : int;
   batched_responses : int;
-  shard_count : int;
   epoch : int;
   links : (string * Jury.Channel.stats) list;
   totals : Jury.Channel.stats;
@@ -183,21 +182,14 @@ let run_workload (case : Case.t) network ~rng ~duration =
         ~dpid:slot.Jury_topo.Builder.dpid ~burst:25 ~burst_gap:(Time.ms 10)
         ~duration
 
-let metrics_sum metrics ~shards fmt =
-  let total = ref 0 in
-  for i = 0 to shards - 1 do
-    total := !total + Metrics.count metrics (Printf.sprintf fmt i)
-  done;
-  !total
-
-let execute ?chooser ?(deterministic = false) ?shards ?batch_us
+let execute ?chooser ?(deterministic = false) ?batch_us
     ?pipeline_jobs ?force_reliable ?trace (case : Case.t) =
   (* Every run gets its own policy engine so [Add_rule] fault events
      mutate run-local state; an empty engine is what [Case.jury_config]
      would have built anyway, so blind runs are unaffected. *)
   let policies = Jury_policy.Engine.create [] in
   let config =
-    Case.jury_config ?shards ?batch_us ?pipeline_jobs ?force_reliable
+    Case.jury_config ?batch_us ?pipeline_jobs ?force_reliable
       ~policies ~deterministic case
   in
   let engine = Engine.create ~seed:case.Case.case_seed () in
@@ -238,9 +230,8 @@ let execute ?chooser ?(deterministic = false) ?shards ?batch_us
   Validator.flush validator;
   let links = Jury.Deployment.channel_stats deployment in
   let metrics = Metrics.create () in
-  Jury.Obs_bridge.record_validator_shards validator metrics;
+  Jury.Obs_bridge.record_validator validator metrics;
   Jury.Obs_bridge.record_channel_counters links metrics;
-  let shard_count = Validator.shard_count validator in
   { fp = fingerprint_of_validator validator;
     pending_after_flush = Validator.pending_count validator;
     alarm_count = List.length (Validator.alarms validator);
@@ -251,18 +242,13 @@ let execute ?chooser ?(deterministic = false) ?shards ?batch_us
     stragglers = Validator.straggler_count validator;
     batches = Validator.batch_count validator;
     batched_responses = Validator.batched_response_count validator;
-    shard_count;
     epoch = Validator.current_epoch validator;
     links;
     totals = Jury.Deployment.channel_totals deployment;
-    obs_decided =
-      metrics_sum metrics ~shards:shard_count "validator/shard%d/decided";
-    obs_batches =
-      metrics_sum metrics ~shards:shard_count "validator/shard%d/batches";
-    obs_overloads =
-      metrics_sum metrics ~shards:shard_count "validator/shard%d/overloads";
-    obs_retransmits =
-      metrics_sum metrics ~shards:shard_count "validator/shard%d/retransmits";
+    obs_decided = Metrics.count metrics "validator/decided";
+    obs_batches = Metrics.count metrics "validator/batches";
+    obs_overloads = Metrics.count metrics "validator/overloads";
+    obs_retransmits = Metrics.count metrics "validator/retransmits";
     obs_epoch = Metrics.count metrics "validator/epoch";
     obs_channel_sent =
       List.fold_left

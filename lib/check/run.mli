@@ -11,7 +11,8 @@
 (** The verdict-relevant residue of a run. Two runs of equivalent
     configurations must produce equal fingerprints; [verdict_lines] is
     sorted so the comparison is insensitive to the order in which
-    shards fold their tables at flush time. *)
+    flush folds the pending table or a pipelined run merges its
+    replicas. *)
 type fingerprint = {
   decided : int;
   faults : int;
@@ -36,7 +37,6 @@ type outcome = {
   stragglers : int;
   batches : int;
   batched_responses : int;
-  shard_count : int;
   epoch : int;
   links : (string * Jury.Channel.stats) list;
   totals : Jury.Channel.stats;
@@ -75,7 +75,7 @@ val diff_schedule_blind : fingerprint -> fingerprint -> string option
 
 val execute :
   ?chooser:Jury_sim.Engine.chooser -> ?deterministic:bool ->
-  ?shards:int -> ?batch_us:int option -> ?pipeline_jobs:int ->
+  ?batch_us:int option -> ?pipeline_jobs:int ->
   ?force_reliable:bool -> ?trace:Jury_obs.Trace.t -> Case.t ->
   outcome
 (** Run the case (optionally with one axis overridden, see

@@ -21,7 +21,6 @@ let size (c : Case.t) =
   + opt c.Case.batch_us
   + (if c.Case.odl then 1 else 0)
   + (if c.Case.topo = Case.Ring then 1 else 0)
-  + (if c.Case.shards > 1 then 1 else 0)
 
 (* Each axis proposes big jumps first (halving) so minimisation takes
    O(log) accepted steps per axis, then unit steps to polish. All
@@ -76,7 +75,6 @@ let candidates (c : Case.t) =
   if c.degraded_quorum <> None then add (set Lens.degraded_quorum None);
   if c.max_inflight <> None then add (set Lens.max_inflight None);
   if c.batch_us <> None then add (set Lens.batch_us None);
-  if c.shards <> 1 then add (set Lens.shards 1);
   if c.odl then add (set Lens.odl false);
   (* keep only strict reductions, largest jumps first as inserted *)
   List.filter (fun c' -> size c' < size c) (List.rev !proposals)

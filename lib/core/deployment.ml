@@ -26,7 +26,6 @@ type config = {
   channel : Channel.profile;
   retransmit : Validator.retransmit option;
   degraded_quorum : int option;
-  shards : int;
   max_inflight : int option;
   batch_window : Time.t option;
   pipeline_jobs : int;
@@ -112,7 +111,7 @@ let trace_channel_event t ~taint ~phase ~node ~link event =
 (* A response has come off its out-of-band link. Per-event mode hands
    it straight to the validator (the seed's path, byte-identical);
    batched mode buffers it and flushes the accumulated tick as one
-   per-shard batch per [batch_window]. *)
+   batch per [batch_window]. *)
 let ingest t (r : Response.t) =
   match t.cfg.batch_window with
   | None -> Validator.deliver t.validator r
@@ -514,8 +513,8 @@ let install cluster cfg =
   let n = Cluster.nodes cluster in
   let profile = Cluster.profile cluster in
   let clustered = profile.Jury_controller.Profile.clustered in
-  (* Built as a record literal: the smart constructor is the deprecated
-     public entry point, and [cfg.shards] is already normalised. *)
+  (* Built as a record literal from the already-validated deployment
+     config. *)
   let validator_cfg =
     { Validator.k = cfg.k;
       timeout = cfg.timeout;
@@ -534,7 +533,6 @@ let install cluster cfg =
       ack_peers_of = (fun _ -> []);
       retransmit = cfg.retransmit;
       degraded_quorum = cfg.degraded_quorum;
-      shards = cfg.shards;
       max_inflight = cfg.max_inflight }
   in
   (* RNG-draw order is load-bearing: the shadow pipelines split the
@@ -603,7 +601,7 @@ let install cluster cfg =
   let validator = Validator.create engine validator_cfg in
   let t = { t with validator } in
   (* Staged pipeline: only when the run can be replayed exactly on
-     detached shard replicas. [config] already rejects the feature
+     detached pipeline replicas. [config] already rejects the feature
      conflicts, but literal-record constructors bypass it, and the
      trace sink is only known now — so gate again here; an ineligible
      config silently stays on the inline (oracle) path. [ack_peers]
@@ -619,8 +617,7 @@ let install cluster cfg =
     && Jury_policy.Engine.rule_count cfg.policies = 0
     && not (trace_enabled t)
   then
-    Stage.attach ~pool:(Jury_par.Pool.default ())
-      ~jobs:cfg.pipeline_jobs validator_cfg t.validator;
+    Stage.attach ~pool:(Jury_par.Pool.default ()) validator_cfg t.validator;
   (* The retransmission loop only exists when asked for: registering the
      handler and verdict observer is gated so a default configuration
      keeps the validator byte-for-byte on the seed's event schedule. *)

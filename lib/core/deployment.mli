@@ -44,23 +44,21 @@ type config = {
   degraded_quorum : int option;
       (** allow reduced-quorum [Ok_degraded] verdicts on timeout;
           [None] = seed behaviour *)
-  shards : int;
-      (** validator verdict-state shards (power of two; 1 = seed) *)
   max_inflight : int option;
       (** validator in-flight high-water mark; [None] = unbounded *)
   batch_window : Jury_sim.Time.t option;
       (** when set, responses coming off the out-of-band links are
           accumulated for this long and handed to the validator as one
-          per-shard batch; [None] = one {!Validator.deliver} per
+          batch; [None] = one {!Validator.deliver} per
           response (seed behaviour) *)
   pipeline_jobs : int;
       (** intra-run parallelism: when > 1, validation runs as a staged
-          pipeline over the {!Jury_par.Pool} domain pool ({!Stage}),
-          with up to [pipeline_jobs - 1] consumer domains draining
-          per-shard SPSC rings into shard-replica validators; 1 = the
-          serial (oracle) path, byte-identical to the seed. Pipelined
-          runs must call {!Validator.drain_pipeline} (or
-          {!Validator.flush}) before reading results *)
+          pipeline over the {!Jury_par.Pool} domain pool ({!Stage}):
+          one consumer domain drains an SPSC ring into a replica
+          validator; 1 = the serial (oracle) path, byte-identical to
+          the seed. Pipelined runs must call
+          {!Validator.drain_pipeline} (or {!Validator.flush}) before
+          reading results *)
   election : Cluster.election_config option;
       (** when set, {!install} starts the cluster's deterministic
           master election ({!Cluster.enable_election}) and subscribes

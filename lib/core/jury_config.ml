@@ -31,7 +31,7 @@ let election ?(period = Time.ms 100) ?(timeout_beats = 3) () =
 let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     ?(nondet_rule = true) ?random_secondaries ?policies
     ?(encapsulation = false) ?channel ?drop ?duplicate ?jitter_us ?retransmit
-    ?degraded_quorum ?(shards = 1) ?max_inflight ?batch
+    ?degraded_quorum ?max_inflight ?batch
     ?(deterministic_latencies = false) ?(pipeline_jobs = 1) ?election () =
   if k < 0 then invalid_arg "Jury_config.make: k must be >= 0";
   let policies =
@@ -67,7 +67,6 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     | Some t -> t
     | None -> if encapsulation then Time.ms 800 else Time.ms 150
   in
-  if shards < 1 then invalid_arg "Jury_config.make: shards must be >= 1";
   (match max_inflight with
   | Some m when m < 1 ->
       invalid_arg "Jury_config.make: max_inflight must be >= 1"
@@ -121,7 +120,6 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     channel;
     retransmit;
     degraded_quorum;
-    shards = Validator.shards_of_hint shards;
     max_inflight;
     batch_window = batch;
     pipeline_jobs;
@@ -147,14 +145,12 @@ let validator ?(min_timeout = Time.ms 10) ?(master_lookup = fun _ -> None)
     ack_peers_of;
     retransmit = t.Deployment.retransmit;
     degraded_quorum = t.Deployment.degraded_quorum;
-    shards = Validator.shards_of_hint t.Deployment.shards;
     max_inflight = t.Deployment.max_inflight }
 
 let install cluster t = Deployment.install cluster (deployment t)
 
 let k (t : t) = t.Deployment.k
 let timeout (t : t) = t.Deployment.timeout
-let shards (t : t) = t.Deployment.shards
 let max_inflight (t : t) = t.Deployment.max_inflight
 let batch_window (t : t) = t.Deployment.batch_window
 let channel (t : t) = t.Deployment.channel

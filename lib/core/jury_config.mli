@@ -5,8 +5,7 @@
     [Channel] profile parameters and [Validator.retransmit]:
     replication factor, timeouts, consensus ablations, policies,
     channel loss model, retransmission, degraded quorum, and the
-    sharded/bounded validator introduced with it ([shards],
-    [max_inflight], [batch]). The old record types remain public as the
+    bounded/batched validator ([max_inflight], [batch]). The old record types remain public as the
     internal representation (and for record-literal construction in
     equivalence tests); their smart constructors are deprecated in
     favour of this module.
@@ -32,7 +31,6 @@ val make :
   ?jitter_us:float ->
   ?retransmit:Validator.retransmit ->
   ?degraded_quorum:int ->
-  ?shards:int ->
   ?max_inflight:int ->
   ?batch:Jury_sim.Time.t ->
   ?deterministic_latencies:bool ->
@@ -42,14 +40,13 @@ val make :
 (** Defaults match the seed: k 2, timeout 150 ms (800 ms when
     [encapsulation]), fixed timeout, state-aware consensus and the
     non-determinism rule on, random secondaries, no policies, reliable
-    channel, no retransmission, no degraded quorum, 1 validator shard,
-    unbounded in-flight state, per-event ingestion.
+    channel, no retransmission, no degraded quorum, unbounded
+    in-flight state, per-event ingestion.
 
     The channel may be given either as a prebuilt [?channel] profile or
     inline via [?drop]/[?duplicate]/[?jitter_us] (validated through
-    {!Channel.lossy}); passing both is an error. [shards] is a hint,
-    rounded up to the next power of two. Raises [Invalid_argument] on
-    any out-of-range value.
+    {!Channel.lossy}); passing both is an error. Raises
+    [Invalid_argument] on any out-of-range value.
 
     A [?policies] rule set is compiled here, once, into the
     {!Jury_policy.Compiled} decision structure the validator consults
@@ -122,9 +119,6 @@ val k : t -> int
 
 val timeout : t -> Jury_sim.Time.t
 (** Validation timeout θτ (after adaptive/encapsulation adjustments). *)
-
-val shards : t -> int
-(** Normalised shard count (power of two). *)
 
 val max_inflight : t -> int option
 (** In-flight trigger bound, [None] = unbounded. *)

@@ -17,23 +17,16 @@ let record_phase_series ?(prefix = "span/") trace metrics =
             (Span.phase_breakdown_ms root))
     roots
 
-let record_validator_shards ?(prefix = "validator/") v metrics =
-  List.iter
-    (fun (s : Validator.shard_stats) ->
-      let bump field v =
-        Metrics.incr metrics ~by:v
-          (Printf.sprintf "%sshard%d/%s" prefix s.Validator.shard_index field)
-      in
-      bump "pending" s.Validator.shard_pending;
-      bump "decided" s.Validator.shard_decided;
-      bump "faults" s.Validator.shard_faults;
-      bump "batches" s.Validator.shard_batches;
-      bump "batch-responses" s.Validator.shard_batch_responses;
-      bump "overloads" s.Validator.shard_overloads;
-      bump "retransmits" s.Validator.shard_retransmits;
-      bump "live-epochs" s.Validator.shard_live_epochs)
-    (Validator.shard_stats v);
-  Metrics.incr metrics ~by:(Validator.current_epoch v) (prefix ^ "epoch")
+let record_validator ?(prefix = "validator/") v metrics =
+  let bump field n = Metrics.incr metrics ~by:n (prefix ^ field) in
+  bump "pending" (Validator.pending_count v);
+  bump "decided" (Validator.decided_count v);
+  bump "faults" (Validator.fault_count v);
+  bump "batches" (Validator.batch_count v);
+  bump "batch-responses" (Validator.batched_response_count v);
+  bump "overloads" (Validator.overload_count v);
+  bump "retransmits" (Validator.retransmit_count v);
+  bump "epoch" (Validator.current_epoch v)
 
 let record_channel_counters ?(prefix = "channel/") stats metrics =
   List.iter

@@ -14,14 +14,13 @@ val record_phase_series :
     Open (never-closed) roots are skipped. [prefix] defaults to
     ["span/"]. *)
 
-val record_validator_shards :
+val record_validator :
   ?prefix:string -> Validator.t -> Jury_sim.Metrics.t -> unit
-(** Bump one metrics counter per shard per field
-    ([prefix ^ "shard<i>/pending"], ["/decided"], ["/faults"],
-    ["/batches"], ["/batch-responses"], ["/overloads"],
-    ["/retransmits"], ["/live-epochs"]) plus the current registration
-    epoch under [prefix ^ "epoch"], from {!Validator.shard_stats}.
-    [prefix] defaults to ["validator/"]. *)
+(** Bump one metrics counter per validator total ([prefix ^ "pending"],
+    ["decided"], ["faults"], ["batches"], ["batch-responses"],
+    ["overloads"], ["retransmits"]) plus the current registration
+    epoch under [prefix ^ "epoch"]. [prefix] defaults to
+    ["validator/"]. *)
 
 val record_channel_counters :
   ?prefix:string -> (string * Channel.stats) list -> Jury_sim.Metrics.t -> unit

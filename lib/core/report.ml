@@ -50,16 +50,22 @@ let of_verdicts ~decided ~ok ~non_deterministic ~unverifiable ~degraded
             (0, Hashtbl.create 4, a.Alarm.decided_at, a.Alarm.decided_at))
         a.Alarm.suspects)
     faulty_alarms;
+  (* Rankings break count ties by controller id and kind name, never
+     by hash-table order, so equal verdict streams render equally. *)
   let suspects =
     Hashtbl.fold
       (fun controller (alarm_count, kind_tbl, first_at, last_at) acc ->
         let fault_kinds =
           Hashtbl.fold (fun k n acc -> (k, n) :: acc) kind_tbl []
-          |> List.sort (fun (_, a) (_, b) -> compare b a)
+          |> List.sort (fun (ka, a) (kb, b) ->
+                 match compare b a with 0 -> String.compare ka kb | c -> c)
         in
         { controller; alarm_count; fault_kinds; first_at; last_at } :: acc)
       per_suspect []
-    |> List.sort (fun a b -> compare b.alarm_count a.alarm_count)
+    |> List.sort (fun a b ->
+           match compare b.alarm_count a.alarm_count with
+           | 0 -> compare a.controller b.controller
+           | c -> c)
   in
   let detection =
     match verdicts with

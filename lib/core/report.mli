@@ -10,7 +10,8 @@
 type suspect_row = {
   controller : int;
   alarm_count : int;
-  fault_kinds : (string * int) list;  (** kind → occurrences, desc. *)
+  fault_kinds : (string * int) list;
+      (** kind → occurrences, descending; equal counts by kind name *)
   first_at : Jury_sim.Time.t;
   last_at : Jury_sim.Time.t;
 }
@@ -23,7 +24,8 @@ type t = {
   degraded : int;  (** reduced-quorum decisions on a lossy channel *)
   overload : int;  (** triggers force-expired at the in-flight cap *)
   faulty : int;
-  suspects : suspect_row list;  (** most-implicated first *)
+  suspects : suspect_row list;
+      (** most-implicated first; equal counts by controller id *)
   detection : Jury_stats.Summary.t option;
       (** over all verdicts; [None] if nothing was decided *)
 }

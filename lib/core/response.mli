@@ -36,7 +36,7 @@ type t = {
 
 val taint_key : t -> string
 (** The stable string form of [taint] — the key the validator's pending
-    tables and shard router hash on. *)
+    table hashes on. *)
 
 val body_name : body -> string
 (** Short stable label: ["execution"], ["status"], ["decap"] or

@@ -2,37 +2,34 @@
 
     [attach] turns a freshly created validator into a pipeline facade:
     capture/channel keeps running on the main simulation domain, but
-    every registration and response delivery becomes an item on a
-    bounded per-shard SPSC ring ({!Jury_par.Spsc}), drained by up to
-    [jobs - 1] consumer domains into single-shard replica validators.
-    Each replica replays the facade's simulated timestamps on a
-    private engine, so validation timers fire at the same instants
-    they would inline. {!Validator.drain_pipeline} on the facade (or
-    {!Validator.flush}, which drains first) sends end-of-stream, joins
-    the consumers and merges the replicas back — verdicts, counters
-    and still-pending triggers, with no forced decisions — after which
-    the facade answers every result accessor with the serial
-    validator's answers.
+    every registration and response tick becomes an item on a bounded
+    SPSC ring ({!Jury_par.Spsc}), drained by one consumer domain into a
+    replica validator. The replica replays the facade's simulated
+    timestamps on a private engine, so validation timers fire at the
+    same instants they would inline. {!Validator.drain_pipeline} on the
+    facade (or {!Validator.flush}, which drains first) sends
+    end-of-stream, joins the consumer and merges the replica back —
+    verdicts, counters and still-pending triggers, with no forced
+    decisions — after which the facade answers every result accessor
+    with the serial validator's answers.
 
-    Rings apply back-pressure: a full ring makes the producer (the
+    The ring applies back-pressure: a full ring makes the producer (the
     simulation) spin until the consumer catches up, bounding memory by
-    [shards * queue_capacity] items.
+    [queue_capacity] items.
 
     Only {!Deployment.install} should call this, and only behind its
     eligibility gate (no retransmit, adaptive timeout, inflight cap,
-    policy rules or trace) — see the implementation notes in
+    policy rules, election or trace) — see the implementation notes in
     [stage.ml] for why each gate is load-bearing. *)
 
 val attach :
   ?queue_capacity:int ->
   pool:Jury_par.Pool.t ->
-  jobs:int ->
   Validator.config ->
   Validator.t ->
   unit
-(** [attach ~pool ~jobs cfg facade] installs pipeline hooks on
-    [facade], whose replicas are built from [cfg] (the same validated
-    config the facade was created with). [queue_capacity] (default
-    1024) is per-shard and rounded up to a power of two. [jobs] is the
-    intra-run parallelism budget: [jobs - 1] consumer domains, floored
-    at one so [jobs > 1] always pipelines. *)
+(** [attach ~pool cfg facade] installs pipeline hooks on [facade],
+    whose replica is built from [cfg] (the same validated config the
+    facade was created with) and whose consumer runs as a
+    {!Jury_par.Pool.async} task on [pool]. [queue_capacity] (default
+    1024) is rounded up to a power of two. *)

@@ -21,19 +21,13 @@ type retransmit = {
 let global_decided = Atomic.make 0
 let total_decided () = Atomic.get global_decided
 
-(* Same contract for the sharded-ingestion counters: per-shard batches
-   handed to [deliver_batch] and triggers force-expired at the
-   [max_inflight] high-water mark. *)
+(* Same contract for the ingestion counters: batches handed to
+   [deliver_batch] and triggers force-expired at the [max_inflight]
+   high-water mark. *)
 let global_batches = Atomic.make 0
 let total_batches () = Atomic.get global_batches
 let global_overloads = Atomic.make 0
 let total_overloads () = Atomic.get global_overloads
-
-let next_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
-let shards_of_hint hint = max 1 (next_pow2 hint)
 
 type config = {
   k : int;
@@ -48,14 +42,11 @@ type config = {
   ack_peers_of : int -> int list;
   retransmit : retransmit option;
   degraded_quorum : int option;
-  shards : int;
   max_inflight : int option;
 }
 
 type pending = {
   taint : Types.Taint.t;
-  shard : int;  (* owning shard, fixed by hash(taint) at creation *)
-  epoch : int;  (* registration epoch, for bulk retirement *)
   mutable trigger_at : Time.t;
   mutable primary : int option;
   mutable term : int;  (* leadership term; bumped when re-attributed *)
@@ -67,37 +58,10 @@ type pending = {
   mutable retry_timer : Engine.handle option;
 }
 
-(* One shard of verdict state: its own pending table, retransmission
-   timer wheel (the retry timers of its pendings, tracked by
-   [s_retry_armed]), epoch buckets and verdict counters. Taints hash to
-   a shard; with [shards = 1] everything lands in shard 0 and the data
-   structures behave byte-for-byte like the historical flat table. *)
-type shard = {
-  index : int;
-  pending : (string, pending) Hashtbl.t;
-  epochs : (int, string list ref) Hashtbl.t;
-      (* epoch -> keys registered in it, newest first. Decided keys stay
-         as tombstones until the whole bucket retires — removal is a
-         bulk drop of the bucket, not a per-key scan. *)
-  mutable s_decided : int;
-  mutable s_faults : int;
-  mutable s_unverifiable : int;
-  mutable s_degraded : int;
-  mutable s_overloads : int;
-  mutable s_duplicates : int;
-  mutable s_late : int;
-  mutable s_retransmits : int;
-  mutable s_retry_armed : int;
-  mutable s_reattributed : int;
-  mutable s_stragglers : int;
-  mutable s_batches : int;
-  mutable s_batch_responses : int;
-}
-
 (* Hooks a staged-pipeline front end (Stage) installs on a validator:
-   when set, registrations/deliveries/flushes are diverted to per-shard
-   queues instead of touching this validator's own state, and the
-   pipeline merges its shard replicas back at [pl_flush]. *)
+   when set, registrations/deliveries/flushes are diverted to the
+   stage's queue instead of touching this validator's own state, and
+   the pipeline merges its replica back at [pl_drain]. *)
 type pipeline_hooks = {
   pl_register :
     taint:Types.Taint.t -> at:Time.t -> primary:int ->
@@ -109,16 +73,31 @@ type pipeline_hooks = {
 type t = {
   engine : Engine.t;
   cfg : config;
-  shards : shard array;  (* length = cfg.shards, a power of two *)
+  pending : (string, pending) Hashtbl.t;
+  epochs : (int, string list ref) Hashtbl.t;
+      (* epoch -> keys registered in it, newest first. Decided keys stay
+         as tombstones until the whole bucket retires — removal is a
+         bulk drop of the bucket, not a per-key scan. *)
   flow_mirror : (string, Of_message.flow_mod) Hashtbl.t;
       (* validator-side FLOWSDB state, built from every cache update it
          has seen; lets the sanity check accept a re-sent FLOW_MOD whose
-         cache entry predates this trigger. Shared across shards: the
-         mirror is FLOWSDB replica state, not per-trigger state. *)
+         cache entry predates this trigger. *)
   epoch_length : int;  (* registrations per epoch *)
   mutable reg_count : int;
   mutable epoch_now : int;
   mutable verdicts : Alarm.t list;  (* newest first *)
+  mutable n_decided : int;
+  mutable n_faults : int;
+  mutable n_unverifiable : int;
+  mutable n_degraded : int;
+  mutable n_overloads : int;
+  mutable n_duplicates : int;
+  mutable n_late : int;
+  mutable n_retransmits : int;
+  mutable n_reattributed : int;
+  mutable n_stragglers : int;
+  mutable n_batches : int;
+  mutable n_batch_responses : int;
   mutable alarm_handler : Alarm.t -> unit;
   mutable verdict_handler : Alarm.t -> unit;
   mutable response_observers : (Response.t -> unit) list;
@@ -135,28 +114,11 @@ type t = {
   mutable pipeline : pipeline_hooks option;
 }
 
-let make_shard index =
-  { index;
-    pending = Hashtbl.create 256;
-    epochs = Hashtbl.create 16;
-    s_decided = 0;
-    s_faults = 0;
-    s_unverifiable = 0;
-    s_degraded = 0;
-    s_overloads = 0;
-    s_duplicates = 0;
-    s_late = 0;
-    s_retransmits = 0;
-    s_retry_armed = 0;
-    s_reattributed = 0;
-    s_stragglers = 0;
-    s_batches = 0;
-    s_batch_responses = 0 }
-
 let create engine cfg =
   { engine;
     cfg;
-    shards = Array.init cfg.shards make_shard;
+    pending = Hashtbl.create 256;
+    epochs = Hashtbl.create 16;
     flow_mirror = Hashtbl.create 256;
     epoch_length =
       (* Small enough epochs that the high-water mark always has a few
@@ -167,6 +129,18 @@ let create engine cfg =
     reg_count = 0;
     epoch_now = 0;
     verdicts = [];
+    n_decided = 0;
+    n_faults = 0;
+    n_unverifiable = 0;
+    n_degraded = 0;
+    n_overloads = 0;
+    n_duplicates = 0;
+    n_late = 0;
+    n_retransmits = 0;
+    n_reattributed = 0;
+    n_stragglers = 0;
+    n_batches = 0;
+    n_batch_responses = 0;
     alarm_handler = (fun _ -> ());
     verdict_handler = (fun _ -> ());
     response_observers = [];
@@ -176,12 +150,6 @@ let create engine cfg =
     rttvar_ms = Time.to_float_ms cfg.timeout /. 8.;
     rtt_samples = 0;
     pipeline = None }
-
-let shard_count t = Array.length t.shards
-
-let shard_of t key =
-  let n = Array.length t.shards in
-  if n = 1 then 0 else Hashtbl.hash key land (n - 1)
 
 let current_timeout t =
   if t.cfg.adaptive_timeout && t.rtt_samples >= 20 then begin
@@ -647,8 +615,8 @@ let run_policy t p ~origin ~external_ actions =
   (* With no rules installed no query can match; skip building the
      query records entirely. Besides being a hot-path win, this keeps
      the policy-free validator from consulting [master_lookup] — which
-     reads live cluster mastership — so pipelined shard replicas never
-     touch main-domain state. *)
+     reads live cluster mastership — so pipeline replicas never touch
+     main-domain state. *)
   if Jury_policy.Engine.rule_count t.cfg.policies = 0 then (ignore p; [])
   else
   let queries =
@@ -690,18 +658,13 @@ let run_policy t p ~origin ~external_ actions =
 (* --- Decision --- *)
 
 let finish t p (verdict : Alarm.verdict) ~suspects ~detail =
-  let sh = t.shards.(p.shard) in
   p.decided <- true;
   (match p.timer with Some h -> Engine.cancel h | None -> ());
-  (match p.retry_timer with
-  | Some h ->
-      Engine.cancel h;
-      sh.s_retry_armed <- sh.s_retry_armed - 1
-  | None -> ());
+  (match p.retry_timer with Some h -> Engine.cancel h | None -> ());
   p.retry_timer <- None;
   let stragglers = stragglers p in
-  sh.s_stragglers <- sh.s_stragglers + List.length stragglers;
-  Hashtbl.remove sh.pending (Types.Taint.to_string p.taint);
+  t.n_stragglers <- t.n_stragglers + List.length stragglers;
+  Hashtbl.remove t.pending (Types.Taint.to_string p.taint);
   let alarm =
     { Alarm.taint = p.taint;
       trigger_at = p.trigger_at;
@@ -740,16 +703,16 @@ let finish t p (verdict : Alarm.verdict) ~suspects ~detail =
        [ ("verdict", Alarm.verdict_name verdict) ]
    end);
   t.verdicts <- alarm :: t.verdicts;
-  sh.s_decided <- sh.s_decided + 1;
+  t.n_decided <- t.n_decided + 1;
   ignore (Atomic.fetch_and_add global_decided 1);
   (match verdict with
   | Alarm.Faulty _ ->
-      sh.s_faults <- sh.s_faults + 1;
+      t.n_faults <- t.n_faults + 1;
       t.alarm_handler alarm
-  | Alarm.Ok_unverifiable -> sh.s_unverifiable <- sh.s_unverifiable + 1
-  | Alarm.Ok_degraded -> sh.s_degraded <- sh.s_degraded + 1
+  | Alarm.Ok_unverifiable -> t.n_unverifiable <- t.n_unverifiable + 1
+  | Alarm.Ok_degraded -> t.n_degraded <- t.n_degraded + 1
   | Alarm.Overload ->
-      sh.s_overloads <- sh.s_overloads + 1;
+      t.n_overloads <- t.n_overloads + 1;
       ignore (Atomic.fetch_and_add global_overloads 1)
   | Alarm.Ok_valid | Alarm.Ok_non_deterministic -> ());
   t.verdict_handler alarm;
@@ -941,7 +904,7 @@ let evaluate t p ~timed_out =
   end
 
 (* A trigger-scoped event: decides/updates only this trigger's entry
-   (shard counters it bumps are commutative). The two per-validator
+   (the counters it bumps are commutative). The two per-validator
    couplings that break that — the adaptive-timeout estimator, which
    every decision feeds and every later timer reads, and the admission
    epochs of [max_inflight], where one verdict releases the next queued
@@ -967,7 +930,6 @@ let retry_delay t (rt : retransmit) round =
   Time.of_float_ms (theta *. rt.fraction *. (rt.backoff ** float_of_int round))
 
 let rec arm_retry t p rt =
-  t.shards.(p.shard).s_retry_armed <- t.shards.(p.shard).s_retry_armed + 1;
   p.retry_timer <-
     Some
       (Engine.schedule t.engine
@@ -975,16 +937,14 @@ let rec arm_retry t p rt =
          (fun () -> fire_retry t p rt))
 
 and fire_retry t p (rt : retransmit) =
-  let sh = t.shards.(p.shard) in
   p.retry_timer <- None;
-  sh.s_retry_armed <- sh.s_retry_armed - 1;
   if not p.decided then begin
     match stragglers p with
     | [] -> () (* everyone answered; no more retries needed *)
     | missing ->
         List.iter
           (fun secondary ->
-            sh.s_retransmits <- sh.s_retransmits + 1;
+            t.n_retransmits <- t.n_retransmits + 1;
             t.retransmit_handler p.taint ~secondary)
           missing;
         p.retry_round <- p.retry_round + 1;
@@ -993,60 +953,45 @@ and fire_retry t p (rt : retransmit) =
 
 (* --- Epoch bookkeeping and the in-flight high-water mark --- *)
 
-let inflight t =
-  Array.fold_left (fun acc sh -> acc + Hashtbl.length sh.pending) 0 t.shards
-
 (* Bulk-free retired epochs: a bucket at least two epochs old whose keys
    are all decided (tombstones) is dropped wholesale; one with live
    stragglers is compacted down to them. *)
 let retire_decided_epochs t =
-  Array.iter
-    (fun sh ->
-      let stale =
-        Hashtbl.fold
-          (fun e keys acc ->
-            if e <= t.epoch_now - 2 then (e, keys) :: acc else acc)
-          sh.epochs []
-      in
-      List.iter
-        (fun (e, keys) ->
-          let live = List.filter (Hashtbl.mem sh.pending) !keys in
-          if live = [] then Hashtbl.remove sh.epochs e else keys := live)
-        stale)
-    t.shards
+  let stale =
+    Hashtbl.fold
+      (fun e keys acc -> if e <= t.epoch_now - 2 then (e, keys) :: acc else acc)
+      t.epochs []
+  in
+  List.iter
+    (fun (e, keys) ->
+      let live = List.filter (Hashtbl.mem t.pending) !keys in
+      if live = [] then Hashtbl.remove t.epochs e else keys := live)
+    stale
 
 let oldest_epoch t =
-  Array.fold_left
-    (fun acc sh ->
-      Hashtbl.fold
-        (fun e _ acc ->
-          match acc with Some b when b <= e -> acc | _ -> Some e)
-        sh.epochs acc)
-    None t.shards
+  Hashtbl.fold
+    (fun e _ acc -> match acc with Some b when b <= e -> acc | _ -> Some e)
+    t.epochs None
 
 (* Force-decide every still-undecided trigger registered in epoch [e],
-   oldest registration first, then drop the epoch's buckets. *)
+   oldest registration first, then drop the epoch's bucket. *)
 let force_expire_epoch t e =
-  Array.iter
-    (fun sh ->
-      match Hashtbl.find_opt sh.epochs e with
-      | None -> ()
-      | Some keys ->
-          let ks = List.rev !keys in
-          Hashtbl.remove sh.epochs e;
-          List.iter
-            (fun key ->
-              match Hashtbl.find_opt sh.pending key with
-              | Some p when not p.decided ->
-                  finish t p Alarm.Overload ~suspects:[]
-                    ~detail:
-                      (Printf.sprintf
-                         "epoch %d force-expired at max_inflight high-water \
-                          mark"
-                         e)
-              | _ -> ())
-            ks)
-    t.shards
+  match Hashtbl.find_opt t.epochs e with
+  | None -> ()
+  | Some keys ->
+      let ks = List.rev !keys in
+      Hashtbl.remove t.epochs e;
+      List.iter
+        (fun key ->
+          match Hashtbl.find_opt t.pending key with
+          | Some p when not p.decided ->
+              finish t p Alarm.Overload ~suspects:[]
+                ~detail:
+                  (Printf.sprintf
+                     "epoch %d force-expired at max_inflight high-water mark"
+                     e)
+          | _ -> ())
+        ks
 
 (* Called before each registration. Expiring the oldest epoch first
    mirrors the paper's argument that a verdict delayed past several
@@ -1056,13 +1001,13 @@ let enforce_inflight t =
   | None -> ()
   | Some m ->
       let looping = ref true in
-      while !looping && inflight t >= m do
+      while !looping && Hashtbl.length t.pending >= m do
         match oldest_epoch t with
         | Some e when e < t.epoch_now -> force_expire_epoch t e
         | _ -> looping := false (* never eat the epoch being filled *)
       done
 
-let note_registration t shard key =
+let note_registration t key =
   enforce_inflight t;
   t.reg_count <- t.reg_count + 1;
   let epoch = t.reg_count / t.epoch_length in
@@ -1070,38 +1015,37 @@ let note_registration t shard key =
     t.epoch_now <- epoch;
     retire_decided_epochs t
   end;
-  let sh = t.shards.(shard) in
-  (match Hashtbl.find_opt sh.epochs epoch with
+  match Hashtbl.find_opt t.epochs epoch with
   | Some keys -> keys := key :: !keys
-  | None -> Hashtbl.add sh.epochs epoch (ref [ key ]));
-  epoch
+  | None -> Hashtbl.add t.epochs epoch (ref [ key ])
+
+let new_pending ~taint ~trigger_at ~primary ~term ~secondaries =
+  { taint;
+    trigger_at;
+    primary;
+    term;
+    secondaries;
+    responses = [];
+    timer = None;
+    decided = false;
+    retry_round = 0;
+    retry_timer = None }
 
 let get_pending t taint =
   let key = Types.Taint.to_string taint in
-  let shard = shard_of t key in
-  match Hashtbl.find_opt t.shards.(shard).pending key with
+  match Hashtbl.find_opt t.pending key with
   | Some p -> Some p
   | None ->
       if Types.Taint.is_external taint then None
         (* external triggers must be registered by the replicator; a
            stray tainted response after decision is dropped *)
       else begin
-        let epoch = note_registration t shard key in
+        note_registration t key;
         let p =
-          { taint;
-            shard;
-            epoch;
-            trigger_at = Engine.now t.engine;
-            primary = None;
-            term = t.cfg.term_lookup ();
-            secondaries = [];
-            responses = [];
-            timer = None;
-            decided = false;
-            retry_round = 0;
-            retry_timer = None }
+          new_pending ~taint ~trigger_at:(Engine.now t.engine) ~primary:None
+            ~term:(t.cfg.term_lookup ()) ~secondaries:[]
         in
-        Hashtbl.add t.shards.(shard).pending key p;
+        Hashtbl.add t.pending key p;
         Some p
       end
 
@@ -1110,24 +1054,13 @@ let register_external t ~taint ~at ~primary ~secondaries =
   | Some h -> h.pl_register ~taint ~at ~primary ~secondaries
   | None ->
   let key = Types.Taint.to_string taint in
-  let shard = shard_of t key in
-  if not (Hashtbl.mem t.shards.(shard).pending key) then begin
-    let epoch = note_registration t shard key in
+  if not (Hashtbl.mem t.pending key) then begin
+    note_registration t key;
     let p =
-      { taint;
-        shard;
-        epoch;
-        trigger_at = at;
-        primary = Some primary;
-        term = t.cfg.term_lookup ();
-        secondaries;
-        responses = [];
-        timer = None;
-        decided = false;
-        retry_round = 0;
-        retry_timer = None }
+      new_pending ~taint ~trigger_at:at ~primary:(Some primary)
+        ~term:(t.cfg.term_lookup ()) ~secondaries
     in
-    Hashtbl.add t.shards.(shard).pending key p;
+    Hashtbl.add t.pending key p;
     arm_timer t p;
     match t.cfg.retransmit with
     | Some rt when rt.max_retries > 0 && secondaries <> [] ->
@@ -1143,16 +1076,14 @@ let register_external t ~taint ~at ~primary ~secondaries =
    responses are on their way. *)
 let reattribute t ~taint ~primary ~term =
   let key = Types.Taint.to_string taint in
-  let shard = shard_of t key in
-  match Hashtbl.find_opt t.shards.(shard).pending key with
+  match Hashtbl.find_opt t.pending key with
   | Some p when not p.decided ->
       p.primary <- Some primary;
       p.term <- term;
       (match p.timer with Some h -> Engine.cancel h | None -> ());
       p.timer <- None;
       arm_timer t p;
-      t.shards.(shard).s_reattributed <-
-        t.shards.(shard).s_reattributed + 1;
+      t.n_reattributed <- t.n_reattributed + 1;
       (let tr = Engine.trace t.engine in
        if Jury_obs.Trace.enabled tr then
          Jury_obs.Trace.point tr ~t_ns:(Engine.now_ns t.engine) ~taint:key
@@ -1198,14 +1129,9 @@ let deliver_inline t (r : Response.t) =
   List.iter (fun f -> f r) (List.rev t.response_observers);
   update_flow_mirror t r;
   match get_pending t r.taint with
-  | None ->
-      let sh = t.shards.(shard_of t (Response.taint_key r)) in
-      sh.s_late <- sh.s_late + 1
+  | None -> t.n_late <- t.n_late + 1
   | Some p ->
-      if duplicate_response p r then begin
-        let sh = t.shards.(p.shard) in
-        sh.s_duplicates <- sh.s_duplicates + 1
-      end
+      if duplicate_response p r then t.n_duplicates <- t.n_duplicates + 1
       else if not p.decided then begin
         (if p.primary = None then
            match Types.Taint.primary_of r.taint with
@@ -1227,47 +1153,31 @@ let deliver_inline t (r : Response.t) =
         end
       end
 
-(* Batched ingestion: one call delivers a whole simulated tick's worth
-   of responses, partitioned per shard so each shard's table is touched
-   once per batch. Responses keep their arrival order within a shard,
-   so a per-event caller and a batching caller drive each shard's state
-   machine through the same transitions. *)
 let deliver t (r : Response.t) =
   match t.pipeline with
   | Some h -> h.pl_batch ~at:(Engine.now t.engine) [ r ]
   | None -> deliver_inline t r
 
+(* Batched ingestion: one call delivers a whole simulated tick's worth
+   of responses in arrival order, so a per-event caller and a batching
+   caller drive the state machine through the same transitions. The
+   batch counters are bumped here, once per tick, whether the tick is
+   validated inline or handed to the staged pipeline. *)
 let deliver_batch t rs =
-  match (t.pipeline, rs) with
-  | _, [] -> ()
-  | Some h, rs -> h.pl_batch ~at:(Engine.now t.engine) rs
-  | None, rs ->
-      let n = Array.length t.shards in
-      let per_shard = Array.make n [] in
-      List.iter
-        (fun (r : Response.t) ->
-          let i = shard_of t (Response.taint_key r) in
-          per_shard.(i) <- r :: per_shard.(i))
-        rs;
-      Array.iteri
-        (fun i bucket ->
-          match bucket with
-          | [] -> ()
-          | bucket ->
-              let sh = t.shards.(i) in
-              let size = List.length bucket in
-              sh.s_batches <- sh.s_batches + 1;
-              sh.s_batch_responses <- sh.s_batch_responses + size;
-              ignore (Atomic.fetch_and_add global_batches 1);
-              (let tr = Engine.trace t.engine in
-               if Jury_obs.Trace.enabled tr then
-                 Jury_obs.Trace.global_point tr
-                   ~t_ns:(Engine.now_ns t.engine)
-                   ~phase:Jury_obs.Trace.Batch
-                   [ ("shard", string_of_int i);
-                     ("responses", string_of_int size) ]);
-              List.iter (deliver_inline t) (List.rev bucket))
-        per_shard
+  if rs <> [] then begin
+    let size = List.length rs in
+    t.n_batches <- t.n_batches + 1;
+    t.n_batch_responses <- t.n_batch_responses + size;
+    ignore (Atomic.fetch_and_add global_batches 1);
+    (let tr = Engine.trace t.engine in
+     if Jury_obs.Trace.enabled tr then
+       Jury_obs.Trace.global_point tr ~t_ns:(Engine.now_ns t.engine)
+         ~phase:Jury_obs.Trace.Batch
+         [ ("responses", string_of_int size) ]);
+    match t.pipeline with
+    | Some h -> h.pl_batch ~at:(Engine.now t.engine) rs
+    | None -> List.iter (deliver_inline t) rs
+  end
 
 let verdicts t = List.rev t.verdicts
 let alarms t = List.filter Alarm.is_fault (verdicts t)
@@ -1277,62 +1187,30 @@ let detection_times_ms t =
   |> List.map (fun a -> Time.to_float_ms (Alarm.detection_time a))
   |> Array.of_list
 
-let sum t f = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards
-let decided_count t = sum t (fun sh -> sh.s_decided)
-let fault_count t = sum t (fun sh -> sh.s_faults)
-let pending_count t = inflight t
-let unverifiable_count t = sum t (fun sh -> sh.s_unverifiable)
-let degraded_count t = sum t (fun sh -> sh.s_degraded)
-let overload_count t = sum t (fun sh -> sh.s_overloads)
-let duplicate_count t = sum t (fun sh -> sh.s_duplicates)
-let late_count t = sum t (fun sh -> sh.s_late)
-let retransmit_count t = sum t (fun sh -> sh.s_retransmits)
-let reattributed_count t = sum t (fun sh -> sh.s_reattributed)
-let straggler_count t = sum t (fun sh -> sh.s_stragglers)
-let batch_count t = sum t (fun sh -> sh.s_batches)
-let batched_response_count t = sum t (fun sh -> sh.s_batch_responses)
+let decided_count t = t.n_decided
+let fault_count t = t.n_faults
+let pending_count t = Hashtbl.length t.pending
+let unverifiable_count t = t.n_unverifiable
+let degraded_count t = t.n_degraded
+let overload_count t = t.n_overloads
+let duplicate_count t = t.n_duplicates
+let late_count t = t.n_late
+let retransmit_count t = t.n_retransmits
+let reattributed_count t = t.n_reattributed
+let straggler_count t = t.n_stragglers
+let batch_count t = t.n_batches
+let batched_response_count t = t.n_batch_responses
 let current_epoch t = t.epoch_now
-
-type shard_stats = {
-  shard_index : int;
-  shard_pending : int;
-  shard_decided : int;
-  shard_faults : int;
-  shard_batches : int;
-  shard_batch_responses : int;
-  shard_overloads : int;
-  shard_retransmits : int;
-  shard_retry_armed : int;
-  shard_live_epochs : int;
-}
-
-let shard_stats t =
-  Array.to_list
-    (Array.map
-       (fun sh ->
-         { shard_index = sh.index;
-           shard_pending = Hashtbl.length sh.pending;
-           shard_decided = sh.s_decided;
-           shard_faults = sh.s_faults;
-           shard_batches = sh.s_batches;
-           shard_batch_responses = sh.s_batch_responses;
-           shard_overloads = sh.s_overloads;
-           shard_retransmits = sh.s_retransmits;
-           shard_retry_armed = sh.s_retry_armed;
-           shard_live_epochs = Hashtbl.length sh.epochs })
-       t.shards)
 
 (* --- staged-pipeline plumbing (see Stage) --- *)
 
 let set_pipeline_hooks t h = t.pipeline <- Some h
-let observe_mirror = update_flow_mirror
-let shard_of_key t key = shard_of t key
 
 let drain_pipeline t =
   match t.pipeline with
   | Some h ->
-      (* Detach first: the stage merges its replicas back into [t] via
-         {!absorb_pipeline_shard}, after which [t] answers result
+      (* Detach first: the stage merges its replica back into [t] via
+         {!absorb_pipeline_replica}, after which [t] answers result
          queries — and any further ingestion runs inline. *)
       t.pipeline <- None;
       h.pl_drain ~at:(Engine.now t.engine)
@@ -1340,61 +1218,28 @@ let drain_pipeline t =
 
 let flush t =
   drain_pipeline t;
-  (* Shard 0 first, each shard folded like the seed's single table,
-     so [shards = 1] flushes in the historical order. *)
-  Array.iter
-    (fun sh ->
-      let ps = Hashtbl.fold (fun _ p acc -> p :: acc) sh.pending [] in
-      List.iter (fun p -> evaluate t p ~timed_out:true) ps)
-    t.shards
+  let ps = Hashtbl.fold (fun _ p acc -> p :: acc) t.pending [] in
+  List.iter (fun p -> evaluate t p ~timed_out:true) ps
 
 let current_timeout_value = current_timeout
 
-let absorb_pipeline_shard t ~shard src =
-  let dst = t.shards.(shard) in
-  let s = src.shards.(0) in
+let absorb_pipeline_replica t src =
   (* Undecided triggers migrate so a later facade [flush] (or plain
      [pending_count]) sees exactly what the serial validator would:
      the replica's timers are dead with its engine, but flush-forced
-     evaluation only reads the pending record. *)
-  Hashtbl.iter
-    (fun key p -> Hashtbl.replace dst.pending key { p with shard })
-    s.pending;
-  dst.s_decided <- dst.s_decided + s.s_decided;
-  dst.s_faults <- dst.s_faults + s.s_faults;
-  dst.s_unverifiable <- dst.s_unverifiable + s.s_unverifiable;
-  dst.s_degraded <- dst.s_degraded + s.s_degraded;
-  dst.s_overloads <- dst.s_overloads + s.s_overloads;
-  dst.s_duplicates <- dst.s_duplicates + s.s_duplicates;
-  dst.s_late <- dst.s_late + s.s_late;
-  dst.s_retransmits <- dst.s_retransmits + s.s_retransmits;
-  dst.s_retry_armed <- dst.s_retry_armed + s.s_retry_armed;
-  dst.s_reattributed <- dst.s_reattributed + s.s_reattributed;
-  dst.s_stragglers <- dst.s_stragglers + s.s_stragglers;
-  dst.s_batches <- dst.s_batches + s.s_batches;
-  dst.s_batch_responses <- dst.s_batch_responses + s.s_batch_responses;
+     evaluation only reads the pending record. Batch counters stay
+     put: the facade bumped them as the ticks went by. *)
+  Hashtbl.iter (Hashtbl.replace t.pending) src.pending;
+  t.n_decided <- t.n_decided + src.n_decided;
+  t.n_faults <- t.n_faults + src.n_faults;
+  t.n_unverifiable <- t.n_unverifiable + src.n_unverifiable;
+  t.n_degraded <- t.n_degraded + src.n_degraded;
+  t.n_overloads <- t.n_overloads + src.n_overloads;
+  t.n_duplicates <- t.n_duplicates + src.n_duplicates;
+  t.n_late <- t.n_late + src.n_late;
+  t.n_retransmits <- t.n_retransmits + src.n_retransmits;
+  t.n_reattributed <- t.n_reattributed + src.n_reattributed;
+  t.n_stragglers <- t.n_stragglers + src.n_stragglers;
   t.reg_count <- t.reg_count + src.reg_count;
+  t.epoch_now <- src.epoch_now;
   t.verdicts <- src.verdicts @ t.verdicts
-
-let finalize_pipeline_merge t =
-  (* [epoch_now] tracks [reg_count / epoch_length] exactly on the
-     inline path, so rebuilding it from the summed registration count
-     reproduces the serial value. *)
-  t.epoch_now <- t.reg_count / t.epoch_length;
-  (* [t.verdicts] is newest-first; merge the per-replica streams into
-     one deterministic newest-first order. Ties on [decided_at] (e.g.
-     several decisions inside one batch tick) break by trigger time
-     then taint, independent of shard interleaving. *)
-  t.verdicts <-
-    List.sort
-      (fun (a : Alarm.t) (b : Alarm.t) ->
-        match Time.compare b.Alarm.decided_at a.Alarm.decided_at with
-        | 0 -> (
-            match Time.compare b.Alarm.trigger_at a.Alarm.trigger_at with
-            | 0 ->
-                compare
-                  (Types.Taint.to_string b.Alarm.taint)
-                  (Types.Taint.to_string a.Alarm.taint)
-            | c -> c)
-        | c -> c)
-      t.verdicts

@@ -61,21 +61,12 @@ type config = {
           equivalent-view responses all agree — and number at least
           this quorum — is decided [Ok_degraded] instead of raising a
           response-timeout alarm; [None] = seed behaviour *)
-  shards : int;
-      (** verdict-state shards; taints hash to a shard, each shard owns
-          its pending table, retransmission timer wheel, epoch buckets
-          and verdict counters. Always a power of two; 1 = the seed's
-          flat table *)
   max_inflight : int option;
       (** high-water mark on in-flight (undecided) triggers; when
           registration would exceed it the oldest epoch is force-expired
           with {!Alarm.Overload} verdicts instead of growing without
           bound. [None] = unbounded (seed behaviour) *)
 }
-
-val shards_of_hint : int -> int
-(** [max 1 (next_pow2 hint)] — the normalisation {!config} applies to
-    its [shards] hint, exported so literal record constructors agree. *)
 
 type t
 
@@ -104,11 +95,10 @@ val deliver : t -> Response.t -> unit
 (** A response arrives on the out-of-band channel. *)
 
 val deliver_batch : t -> Response.t list -> unit
-(** Deliver a whole simulated tick's worth of responses in one call:
-    the batch is partitioned by shard (arrival order preserved within
-    each shard) and each non-empty shard ingests its sub-batch in one
-    go, bumping that shard's batch counters. [deliver_batch t [r]] and
-    [deliver t r] drive identical state transitions. *)
+(** Deliver a whole simulated tick's worth of responses in one call,
+    in arrival order, bumping the batch counters once for a non-empty
+    batch. [deliver_batch t [r]] and [deliver t r] drive identical
+    verdict-state transitions. *)
 
 val set_alarm_handler : t -> (Alarm.t -> unit) -> unit
 (** Called for every {e faulty} verdict, at decision time. *)
@@ -180,10 +170,10 @@ val straggler_count : t -> int
 
 val overload_count : t -> int
 (** Triggers force-expired with an {!Alarm.Overload} verdict at the
-    [max_inflight] high-water mark, summed over shards. *)
+    [max_inflight] high-water mark. *)
 
 val batch_count : t -> int
-(** Per-shard batches ingested via {!deliver_batch}. *)
+(** Non-empty batches ingested via {!deliver_batch}. *)
 
 val batched_response_count : t -> int
 (** Responses that arrived inside a {!deliver_batch} call. *)
@@ -198,46 +188,21 @@ val total_overloads : unit -> int
 val current_epoch : t -> int
 (** The registration epoch currently being filled. *)
 
-(** {1 Shard introspection} *)
-
-val shard_count : t -> int
-(** Number of verdict-state shards ([config.shards]). *)
-
-type shard_stats = {
-  shard_index : int;
-  shard_pending : int;  (** in-flight triggers owned by this shard *)
-  shard_decided : int;
-  shard_faults : int;
-  shard_batches : int;
-  shard_batch_responses : int;
-  shard_overloads : int;
-  shard_retransmits : int;
-  shard_retry_armed : int;  (** retry timers live in this shard's wheel *)
-  shard_live_epochs : int;  (** epoch buckets not yet bulk-freed *)
-}
-
-val shard_stats : t -> shard_stats list
-(** One entry per shard, in shard order — the fan-out evidence the
-    bench's [--json] report and {!Obs_bridge.record_validator_shards}
-    surface. *)
-
 val flush : t -> unit
-(** Force-decide everything still pending (end of an experiment).
-    Shards flush in index order; each shard's table is folded exactly
-    like the seed's single flat table. *)
+(** Force-decide everything still pending (end of an experiment). *)
 
 val current_timeout_value : t -> Jury_sim.Time.t
 (** The θτ a trigger registered now would get (adaptive or fixed). *)
 
 (** {1 Staged-pipeline plumbing}
 
-    Used by {!Stage} to run validation on shard-replica validators
-    owned by consumer domains while this validator stays the facade
-    the deployment and the experiment layer talk to. Not a general
+    Used by {!Stage} to run validation on a replica validator owned by
+    a consumer domain while this validator stays the facade the
+    deployment and the experiment layer talk to. Not a general
     extension point: the hooks divert {!register_external},
     {!deliver}/{!deliver_batch} and {!flush} wholesale, and the stage
-    merges replica state back with {!absorb_pipeline_shard} +
-    {!finalize_pipeline_merge} before any result accessor is read. *)
+    merges replica state back with {!absorb_pipeline_replica} before
+    any result accessor is read. *)
 
 type pipeline_hooks = {
   pl_register :
@@ -259,28 +224,16 @@ val set_pipeline_hooks : t -> pipeline_hooks -> unit
     the normal accessors. *)
 
 val drain_pipeline : t -> unit
-(** End-of-run barrier for a pipelined validator: stop the consumers
-    via [pl_drain], which merges every shard replica back into this
+(** End-of-run barrier for a pipelined validator: stop the consumer
+    via [pl_drain], which merges the replica back into this
     facade — decided verdicts, counters, and still-pending triggers
     alike, with {e no} forced decisions (the serial validator's state
     at the same instant). No-op when no hooks are installed, so
     callers may invoke it unconditionally before reading results. *)
 
-val observe_mirror : t -> Response.t -> unit
-(** Apply a response's FLOWSDB cache update (if any) to this
-    validator's flow mirror without validating it — how a shard
-    replica tracks writes owned by {e other} shards so its sanity
-    check sees the same mirror as the serial validator. *)
-
-val shard_of_key : t -> string -> int
-(** The shard a taint key hashes to (see {!Response.taint_key}). *)
-
-val absorb_pipeline_shard : t -> shard:int -> t -> unit
-(** [absorb_pipeline_shard t ~shard rep] folds single-shard replica
-    [rep]'s counters, registration count, verdicts and pending (still
-    undecided) triggers into [t]'s shard [shard]. Call once per
-    replica after its consumer has finished. *)
-
-val finalize_pipeline_merge : t -> unit
-(** After all replicas are absorbed: rebuild the epoch cursor and sort
-    the merged verdict stream into a deterministic decision order. *)
+val absorb_pipeline_replica : t -> t -> unit
+(** [absorb_pipeline_replica t rep] folds replica [rep]'s verdict
+    counters, registration count, epoch cursor, verdicts and pending
+    (still undecided) triggers into [t]. Batch counters are not
+    folded: the facade counts ticks as they arrive. Call once, after
+    the replica's consumer has finished. *)

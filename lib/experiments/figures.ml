@@ -701,34 +701,27 @@ let ablation_secondary_selection ?pool ?(seed = 55) ?(repeats = 10) () =
     modes
     (chunks repeats reports)
 
-(* --- Validator scaling: trigger rate x shard count --- *)
+(* --- Validator scaling: trigger rate sweep --- *)
 
 type scale_row = {
   vs_rate : float;
-  vs_shards : int;
   vs_decided : int;
   vs_overloads : int;
   vs_batches : int;
   vs_batched_responses : int;
-  vs_shard_batches : int list;
   vs_wall_s : float;
   vs_verdicts_per_s : float;
 }
 
 let validator_scale ?pool ?(seed = 59) ?(duration = Time.sec 3)
-    ?(rates = [ 1000.; 3000. ]) ?(shard_counts = [ 1; 2; 4 ]) ?max_inflight
-    ?(batch = Time.us 200) () =
-  let cells =
-    List.concat_map
-      (fun rate -> List.map (fun shards -> (rate, shards)) shard_counts)
-      rates
-  in
-  par ?pool cells (fun (rate, shards) ->
+    ?(rates = [ 1000.; 3000. ]) ?max_inflight ?(batch = Time.us 200)
+    () =
+  par ?pool rates (fun rate ->
       let t_start = Sys.time () in
       let env =
         Setup.make
           ~seed:(seed + int_of_float rate)
-          ~jury:(Jury.Jury_config.make ~k:2 ~shards ?max_inflight ~batch ())
+          ~jury:(Jury.Jury_config.make ~k:2 ?max_inflight ~batch ())
           ~profile:Profile.onos ~nodes:7 ()
       in
       let t0 = Engine.now env.Setup.engine in
@@ -739,16 +732,10 @@ let validator_scale ?pool ?(seed = 59) ?(duration = Time.sec 3)
       let v = Setup.validator env in
       let decided, _, _ = Setup.verdict_stats_since env ~since:t0 in
       { vs_rate = rate;
-        vs_shards = Jury.Validator.shard_count v;
         vs_decided = decided;
         vs_overloads = Jury.Validator.overload_count v;
         vs_batches = Jury.Validator.batch_count v;
         vs_batched_responses = Jury.Validator.batched_response_count v;
-        vs_shard_batches =
-          List.map
-            (fun (s : Jury.Validator.shard_stats) ->
-              s.Jury.Validator.shard_batches)
-            (Jury.Validator.shard_stats v);
         vs_wall_s = wall;
         vs_verdicts_per_s =
           (if wall > 0. then float_of_int decided /. wall else 0.) })

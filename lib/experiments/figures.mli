@@ -202,28 +202,23 @@ val ablation_nondeterminism :
     off: (mode, decided, false alarms, verdicts labelled
     non-deterministic). *)
 
-(** {1 Validator scaling (sharded verdict state)} *)
+(** {1 Validator scaling} *)
 
 type scale_row = {
   vs_rate : float;           (** offered PACKET_IN rate *)
-  vs_shards : int;           (** normalised shard count *)
   vs_decided : int;          (** verdicts decided during the window *)
   vs_overloads : int;        (** triggers force-expired at [max_inflight] *)
-  vs_batches : int;          (** per-shard batches delivered *)
+  vs_batches : int;          (** batches delivered *)
   vs_batched_responses : int;
-  vs_shard_batches : int list;
-      (** batch count per shard, in shard order — the fan-out evidence *)
   vs_wall_s : float;         (** host CPU seconds for the whole run *)
   vs_verdicts_per_s : float; (** decided / wall — the throughput figure *)
 }
 
 val validator_scale :
   ?pool:Jury_par.Pool.t -> ?seed:int -> ?duration:Jury_sim.Time.t ->
-  ?rates:float list -> ?shard_counts:int list -> ?max_inflight:int ->
+  ?rates:float list -> ?max_inflight:int ->
   ?batch:Jury_sim.Time.t -> unit -> scale_row list
-(** Trigger rate x shard count sweep over a benign ONOS k=2 workload
-    with batched response ingestion ([batch], default 200 us). Verdict
-    counts are identical across shard counts at a given rate (sharding
-    only partitions state); wall-clock and per-shard batch counters show
-    how the work fans out. One row per (rate, shard) cell, rates outer,
-    shard counts inner. *)
+(** Trigger-rate sweep (default 1000 and 3000 pps) over a benign
+    ONOS k=2 workload with batched response ingestion ([batch], default
+    200 us): how verdict throughput and batch sizes grow with load.
+    One row per rate, in order. *)

@@ -3,14 +3,14 @@
    stream and measure sustained ingest and verdict throughput in
    wall-clock terms.
 
-   The sweep runs its (jobs, shards) points sequentially — each point
+   The sweep runs its job-count points sequentially — each point
    owns the machine, and a pipelined point spins consumer domains, so
    fanning points out would corrupt every wall-clock figure. Within a
    point the flow is the deployment's: registrations at arrival,
    responses accumulated into a 200 µs batch window, one
    [deliver_batch] per window tick, a final [flush] after the stream
    ends. Verdict counts must agree across every point of a profile —
-   the job and shard counts are not allowed to be observable — and
+   the job count is not allowed to be observable — and
    [sweep] records the serial point's count so the caller can check. *)
 
 open Jury_sim
@@ -25,7 +25,6 @@ module Names = Jury_store.Cache_names
 type row = {
   fh_profile : string;
   fh_jobs : int;
-  fh_shards : int;
   fh_triggers : int;        (* arrivals registered *)
   fh_responses : int;       (* responses ingested *)
   fh_decided : int;
@@ -37,17 +36,17 @@ type row = {
 }
 
 let run_point ?(seed = 11) ?(nodes = 5) ?(k = 2) ~profile ~duration ~jobs
-    ~shards () =
+    () =
   let engine = Engine.create ~seed () in
   let vcfg =
     Jury.Jury_config.validator
       ~ack_peers_of:(fun _ -> [])
-      (Jury.Jury_config.make ~k ~shards ~timeout:(Time.ms 50)
+      (Jury.Jury_config.make ~k ~timeout:(Time.ms 50)
          ~batch:(Time.us 200) ())
   in
   let v = Validator.create engine vcfg in
   if jobs > 1 then
-    Jury.Stage.attach ~pool:(Jury_par.Pool.default ()) ~jobs vcfg v;
+    Jury.Stage.attach ~pool:(Jury_par.Pool.default ()) vcfg v;
   let rng = Rng.create (seed lxor 0xf14e_05e) in
   let stream = Firehose.stream ~rng ~start:(Engine.now engine) profile in
   let stop = Time.add (Engine.now engine) duration in
@@ -61,8 +60,8 @@ let run_point ?(seed = 11) ?(nodes = 5) ?(k = 2) ~profile ~duration ~jobs
   in
   (* Every responder shares the pristine snapshot, so state-aware
      consensus agrees; the primary additionally externalises its write
-     as a FLOWSDB cache event (which a pipelined run mirrors across
-     shards), completing the trigger before the timer unless the 2%
+     as a FLOWSDB cache event (which feeds the validator's flow
+     mirror), completing the trigger before the timer unless the 2%
      omission probability starves the quorum into a timeout. *)
   let snapshot = Snapshot.pristine in
   let rec arm_arrival () =
@@ -129,7 +128,6 @@ let run_point ?(seed = 11) ?(nodes = 5) ?(k = 2) ~profile ~duration ~jobs
   let decided = Validator.decided_count v in
   { fh_profile = profile.Firehose.name;
     fh_jobs = jobs;
-    fh_shards = shards;
     fh_triggers = !serial;
     fh_responses = !responses;
     fh_decided = decided;
@@ -141,11 +139,8 @@ let run_point ?(seed = 11) ?(nodes = 5) ?(k = 2) ~profile ~duration ~jobs
       (if wall > 0. then float_of_int decided /. wall else 0.);
     fh_domains_spawned = Jury_par.Pool.domains_spawned () - domains0 }
 
-let default_points = [ (1, 1); (1, 4); (2, 2); (2, 4); (4, 4) ]
+let default_points = [ 1; 2 ]
 
 let sweep ?(seed = 11) ?(duration = Time.ms 400) ?(profile = Firehose.enterprise)
     ?(points = default_points) () =
-  List.map
-    (fun (jobs, shards) ->
-      run_point ~seed ~profile ~duration ~jobs ~shards ())
-    points
+  List.map (fun jobs -> run_point ~seed ~profile ~duration ~jobs ()) points

@@ -10,15 +10,14 @@
     pipelined point owns the machine's cores, so fanning points out
     would corrupt the wall-clock figures.
 
-    The job and shard counts must not be observable in the verdicts:
+    The job count must not be observable in the verdicts:
     [fh_triggers], [fh_responses], [fh_decided] and [fh_faults] are
     equal across every point of a profile (the CLI's bench prints a
     MISMATCH marker if not). *)
 
 type row = {
   fh_profile : string;
-  fh_jobs : int;             (** intra-run pipeline jobs; 1 = serial *)
-  fh_shards : int;
+  fh_jobs : int;             (** intra-run pipeline jobs; 1 = serial, >1 = staged *)
   fh_triggers : int;         (** arrivals registered *)
   fh_responses : int;        (** responses ingested (98% response rate) *)
   fh_decided : int;
@@ -34,16 +33,16 @@ type row = {
 val run_point :
   ?seed:int -> ?nodes:int -> ?k:int ->
   profile:Jury_workload.Firehose.profile ->
-  duration:Jury_sim.Time.t -> jobs:int -> shards:int -> unit -> row
-(** One (jobs, shards) measurement. [duration] is simulated stream
+  duration:Jury_sim.Time.t -> jobs:int -> unit -> row
+(** One job-count measurement. [duration] is simulated stream
     time (default sweep uses 400 ms); [nodes] (default 5) and [k]
     (default 2) shape the responder set. *)
 
-val default_points : (int * int) list
-(** [(jobs, shards)]: [(1,1); (1,4); (2,2); (2,4); (4,4)]. *)
+val default_points : int list
+(** Pipeline job counts: [[1; 2]] — serial, then staged. *)
 
 val sweep :
   ?seed:int -> ?duration:Jury_sim.Time.t ->
   ?profile:Jury_workload.Firehose.profile ->
-  ?points:(int * int) list -> unit -> row list
+  ?points:int list -> unit -> row list
 (** The rows of {!default_points} (or [points]), in order. *)

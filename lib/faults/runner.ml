@@ -22,7 +22,7 @@ type env = {
 
 let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
     ?(extra_slow = []) ?(switches = 24) ?(random_secondaries = true) ?trace
-    ?channel ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch
+    ?channel ?retransmit ?degraded_quorum ?max_inflight ?batch
     ?pipeline_jobs (scenario : Scenarios.t) =
   let engine = Engine.create ~seed () in
   Option.iter (Engine.set_trace engine) trace;
@@ -38,7 +38,7 @@ let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
   let deployment =
     Jury.Jury_config.install cluster
       (Scenarios.jury_config scenario ~k ~random_secondaries ?channel
-         ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch
+         ?retransmit ?degraded_quorum ?max_inflight ?batch
          ?pipeline_jobs ())
   in
   let ctx =
@@ -61,8 +61,8 @@ let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
   Engine.run engine
     ~until:(Time.add (Engine.now engine) scenario.Scenarios.settle);
   let validator = Jury.Deployment.validator deployment in
-  (* No-op on the serial path; a pipelined run merges its shard
-     replicas here (undecided triggers stay undecided). *)
+  (* No-op on the serial path; a pipelined run merges its replica
+     here (undecided triggers stay undecided). *)
   Jury.Validator.drain_pipeline validator;
   let alarms = Jury.Validator.alarms validator in
   let matches (a : Jury.Alarm.t) =
@@ -88,12 +88,12 @@ let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
   (report, { cluster; network; deployment; faulty })
 
 let run ?seed ?nodes ?k ?faulty ?extra_slow ?switches ?random_secondaries
-    ?trace ?channel ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch
+    ?trace ?channel ?retransmit ?degraded_quorum ?max_inflight ?batch
     ?pipeline_jobs scenario =
   fst
     (run_env ?seed ?nodes ?k ?faulty ?extra_slow ?switches
        ?random_secondaries ?trace ?channel ?retransmit ?degraded_quorum
-       ?shards ?max_inflight ?batch ?pipeline_jobs scenario)
+       ?max_inflight ?batch ?pipeline_jobs scenario)
 
 let run_matrix ?pool ?(seed = 11) ?(repeats = 1) ?(seed_stride = 13) ?nodes
     ?k ?faulty ?extra_slow ?switches ?random_secondaries scenarios =

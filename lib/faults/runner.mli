@@ -30,7 +30,7 @@ val run :
   ?channel:Jury.Channel.profile ->
   ?retransmit:Jury.Validator.retransmit ->
   ?degraded_quorum:int ->
-  ?shards:int -> ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
+  ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
   ?pipeline_jobs:int ->
   Scenarios.t -> report
 (** Defaults match the paper's worst case: 7 nodes, full replication
@@ -38,7 +38,7 @@ val run :
     marks additional replicas as timing-faulty (the m = 2 setting).
     [trace], when given, is attached to the engine before anything is
     scheduled, so it observes the full run. [channel] overrides the
-    scenario's loss model; [retransmit], [degraded_quorum], [shards],
+    scenario's loss model; [retransmit], [degraded_quorum],
     [max_inflight], [batch] and [pipeline_jobs] pass through to
     {!Jury.Jury_config.make} via {!Scenarios.jury_config}. *)
 
@@ -62,7 +62,7 @@ val run_env :
   ?channel:Jury.Channel.profile ->
   ?retransmit:Jury.Validator.retransmit ->
   ?degraded_quorum:int ->
-  ?shards:int -> ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
+  ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
   ?pipeline_jobs:int ->
   Scenarios.t -> report * env
 (** Like {!run} but also returns the live environment for inspection. *)

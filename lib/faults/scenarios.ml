@@ -645,7 +645,7 @@ let policy_churn =
     profile = Profile.onos;
     (* [Some ""] compiles to an empty engine but routes through the
        policy-carrying path: the staged pipeline is dropped (the churned
-       engine would otherwise be shared with detached shard replicas)
+       engine would otherwise be shared with detached pipeline replicas)
        and the validator re-reads the rule count per verdict. *)
     policy = Some "";
     state_aware = true;
@@ -820,7 +820,7 @@ let names = List.map (fun s -> s.name) all
 (* --- JURY configuration for a scenario --- *)
 
 let jury_config (t : t) ?(k = 6) ?(random_secondaries = true) ?channel
-    ?retransmit ?degraded_quorum ?shards ?max_inflight ?batch ?pipeline_jobs
+    ?retransmit ?degraded_quorum ?max_inflight ?batch ?pipeline_jobs
     () =
   let policies =
     match t.policy with
@@ -843,5 +843,5 @@ let jury_config (t : t) ?(k = 6) ?(random_secondaries = true) ?channel
     if t.policy = None && t.election = None then pipeline_jobs else None
   in
   Jury.Jury_config.make ~k ~random_secondaries ~policies ~encapsulation
-    ~state_aware:t.state_aware ~channel ?retransmit ?degraded_quorum ?shards
+    ~state_aware:t.state_aware ~channel ?retransmit ?degraded_quorum
     ?max_inflight ?batch ?pipeline_jobs ?election:t.election ()

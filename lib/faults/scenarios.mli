@@ -109,7 +109,7 @@ val jury_config :
   ?channel:Jury.Channel.profile ->
   ?retransmit:Jury.Validator.retransmit ->
   ?degraded_quorum:int ->
-  ?shards:int -> ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
+  ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
   ?pipeline_jobs:int ->
   unit -> Jury.Jury_config.t
 (** The {!Jury.Jury_config.t} a scenario calls for: its policy DSL

@@ -45,10 +45,10 @@ let run ?record case trace =
   Run.execute ~chooser:(trace_chooser ?record trace) ~deterministic:true case
 
 let executor trace : Oracle.executor =
- fun ?shards ?batch_us ?pipeline_jobs ?force_reliable case ->
+ fun ?batch_us ?pipeline_jobs ?force_reliable case ->
   Run.execute
     ~chooser:(trace_chooser trace)
-    ~deterministic:true ?shards ?batch_us ?pipeline_jobs ?force_reliable case
+    ~deterministic:true ?batch_us ?pipeline_jobs ?force_reliable case
 
 (* The per-schedule battery, with the schedule's own outcome as the
    memoised base run so oracles that only inspect one run cost
@@ -314,7 +314,6 @@ let demo_case ?(seed = 7) ?(switches = 2) ?(triggers = 3) ?(nodes = 3) () =
     jitter_us = 0.;
     retries = 0;
     degraded_quorum = None;
-    shards = 1;
     max_inflight = None;
     batch_us = None;
     triggers }

@@ -19,7 +19,7 @@
       timings; it must never gain, lose or change a verdict.
     + {b The oracle battery}: the requested {!Jury_check.Oracle.t}s run
       against a context pinned to the explored schedule — every
-      re-execution an oracle performs (replay, shard override, the
+      re-execution an oracle performs (replay, reliability override, the
       parallel mini-sweep) replays the same trace via {!executor}.
 
     {2 Pruning}

@@ -25,7 +25,7 @@ type phase =
   | Net_write  (** message on the wire (FLOW_MOD egress, capture tap) *)
   | Validate  (** response delivered to the out-of-band validator *)
   | Batch
-      (** a per-shard response batch handed to the validator in one
+      (** a tick's response batch handed to the validator in one
           call (only emitted when batched ingestion is enabled) *)
   | Verdict  (** the validator's decision *)
 

@@ -436,6 +436,8 @@ let decode_one r : Of_message.t =
     invalid_arg (Printf.sprintf "Of_wire: unsupported version %d" v);
   let ty = R.u8 r "type" in
   let len = R.u16 r "length" in
+  if len < header_size then
+    invalid_arg (Printf.sprintf "Of_wire: bad length %d" len);
   let xid = R.u32 r "xid" in
   let body = R.bytes r (len - header_size) "body" in
   let br = R.of_string body in

@@ -10,11 +10,14 @@ val encode : Of_message.t -> string
 
 val decode : string -> Of_message.t
 (** Raises {!Wire_buf.Truncated} (re-exported from [Jury_packet]) or
-    [Invalid_argument] on malformed input. *)
+    [Invalid_argument] on malformed input; a header whose length field
+    is below {!header_size} raises [Invalid_argument
+    "Of_wire: bad length N"]. *)
 
 val decode_all : string -> Of_message.t list
 (** Splits a byte stream into consecutive messages using the length
-    field — how a TCP control channel is deframed. *)
+    field — how a TCP control channel is deframed. Raises like
+    {!decode}. *)
 
 val header_size : int
 (** 8 bytes. *)

@@ -71,9 +71,9 @@ val set_default_jobs : int -> unit
 
 (** {1 Long-running async tasks}
 
-    The staged validation pipeline parks its per-shard consumers on
-    the pool for the whole duration of a run. Unlike {!map_ordered}
-    items, such a task must {e start promptly} — an SPSC producer
+    The staged validation pipeline parks its consumer on the pool for
+    the whole duration of a run. Unlike {!map_ordered} items, such a
+    task must {e start promptly} — an SPSC producer
     blocks on a consumer that never gets scheduled — so {!async}
     reuses an idle persistent worker when one is free and otherwise
     spawns (a persistent worker while under the [jobs - 1] budget, a

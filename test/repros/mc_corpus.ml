@@ -50,7 +50,6 @@ let () =
       jitter_us = 0.0;
       retries = 0;
       degraded_quorum = None;
-      shards = 1;
       max_inflight = None;
       batch_us = None;
       triggers = 1 }

@@ -9,8 +9,10 @@
    The seed entries below come from the harness's mutation-sensitivity
    demo: three deliberate validator bugs — a batch path dropping each
    bucket's first response, a validation timeout skewed by the
-   trigger's shard index, and Ok_valid verdicts counted but never
-   recorded — were each caught and minimised by the named oracle. *)
+   trigger's shard index (the validator has since lost its shards; the
+   case now guards the same timer path across pipeline job counts),
+   and Ok_valid verdicts counted but never recorded — were each caught
+   and minimised by the named oracle. *)
 
 type entry = { name : string; oracle : string; case : Jury_check.Case.t }
 
@@ -40,16 +42,16 @@ let () =
       jitter_us = 0.0;
       retries = 0;
       degraded_quorum = None;
-      shards = 1;
       max_inflight = None;
       batch_us = None;
       triggers = 5 }
 
 (* shard-skewed timer: the validation timeout gained the trigger's
    shard index in nanoseconds, so shards=1 and shards=4 decided
-   timed-out triggers at different instants. *)
+   timed-out triggers at different instants. The same skew on the
+   pipeline replica would split jobs=1 from jobs=4 the same way. *)
 let () =
-  add ~name:"seed-44" ~oracle:"shard-independence"
+  add ~name:"seed-44" ~oracle:"pipeline-jobs-independence"
     { Jury_check.Case.case_seed = 44;
       topo = Jury_check.Case.Linear;
       switches = 1;
@@ -66,7 +68,6 @@ let () =
       jitter_us = 0.0;
       retries = 0;
       degraded_quorum = None;
-      shards = 1;
       max_inflight = None;
       batch_us = None;
       triggers = 5 }
@@ -91,7 +92,6 @@ let () =
       jitter_us = 0.0;
       retries = 0;
       degraded_quorum = None;
-      shards = 1;
       max_inflight = None;
       batch_us = None;
       triggers = 5 }
@@ -126,7 +126,6 @@ let () =
       jitter_us = 0.0;
       retries = 0;
       degraded_quorum = None;
-      shards = 1;
       max_inflight = None;
       batch_us = None;
       triggers = 5 }
@@ -134,8 +133,7 @@ let () =
 (* policy verdicts without detection samples: detection_times_ms
    silently skipped Policy_violation verdicts, so a mid-run add_rule
    (policy churn) broke decided-count vs detection-sample conservation.
-   Lineage: seed=19 validator-churn@960652544 fault-inject@759014654
-   fault-drop@773348863. *)
+   Lineage: seed=19 fault-inject@759014654 fault-drop@773348863. *)
 let () =
   add ~name:"fuzz-policy-detection-skip" ~oracle:"verdict-conservation"
     { Jury_check.Case.case_seed = 19;
@@ -160,7 +158,6 @@ let () =
       jitter_us = 0.0;
       retries = 0;
       degraded_quorum = None;
-      shards = 1;
       max_inflight = None;
       batch_us = None;
       triggers = 5 }

@@ -122,7 +122,6 @@ let tiny_case =
     jitter_us = 0.;
     retries = 1;
     degraded_quorum = None;
-    shards = 2;
     max_inflight = None;
     batch_us = Some 200;
     triggers = 8 }
@@ -197,10 +196,10 @@ let test_backtoback_overload_delta () =
    a family resolves to its oracles, an exact name to a singleton, and
    anything else to an error that lists every valid choice. *)
 let test_oracle_resolve () =
-  (match Jury_check.Registry.resolve "sharding" with
+  (match Jury_check.Registry.resolve "batching" with
   | Ok os ->
       check_int "family resolves to its oracles"
-        (List.length (Jury_check.Registry.by_family "sharding"))
+        (List.length (Jury_check.Registry.by_family "batching"))
         (List.length os)
   | Error e -> Alcotest.fail e);
   (match Jury_check.Registry.names () with

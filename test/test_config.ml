@@ -1,8 +1,9 @@
-(* Tests for the Jury_config builder facade and the sharded/bounded
-   validator state behind it: facade defaults must reproduce the
-   literal seed record byte-for-byte, shard count must not change
-   verdicts, max_inflight must shed load as Overload verdicts, and the
-   process-wide counters must support per-run deltas. *)
+(* Tests for the Jury_config builder facade and the bounded/batched/
+   pipelined validator state behind it: facade defaults must reproduce
+   the literal seed record byte-for-byte, the staged pipeline must not
+   change verdicts, max_inflight must shed load as Overload
+   verdicts, and the process-wide counters must support per-run
+   deltas. *)
 
 open Jury_sim
 module Types = Jury_controller.Types
@@ -34,6 +35,7 @@ let drive deployment_of =
     ~duration:(Time.sec 2);
   Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 4));
   let v = Jury.Deployment.validator deployment in
+  Validator.drain_pipeline v;
   ( Validator.decided_count v,
     Validator.fault_count v,
     Array.to_list (Validator.detection_times_ms v),
@@ -60,7 +62,6 @@ let seed_record () =
     channel = Jury.Channel.reliable;
     retransmit = None;
     degraded_quorum = None;
-    shards = 1;
     max_inflight = None;
     batch_window = None;
     pipeline_jobs = 1;
@@ -79,40 +80,48 @@ let test_facade_defaults_match_literal_record () =
   check_int "faults" lf ff;
   Alcotest.(check (list (float 0.))) "detection times byte-for-byte" lt ft
 
-let test_shards_do_not_change_verdicts () =
-  let run shards =
-    drive (fun cluster ->
-        Jury.Jury_config.install cluster (Jury.Jury_config.make ~shards ()))
+(* A batched deployment at --pipeline-jobs 2 validates on the stage's
+   replica and must match the serial run verdict for verdict and
+   counter for counter. Response observers fire only on the inline
+   path, so a silent observer on the pipelined run proves the stage
+   attached (an eligibility-gate fallback would compare serial with
+   serial). *)
+let test_pipeline_matches_serial () =
+  let run jobs =
+    let observed = ref 0 in
+    let _, _, _, v =
+      drive (fun cluster ->
+          let d =
+            Jury.Jury_config.install cluster
+              (Jury.Jury_config.make ~batch:(Time.us 200) ~pipeline_jobs:jobs
+                 ())
+          in
+          Validator.on_response (Jury.Deployment.validator d) (fun _ ->
+              incr observed);
+          d)
+    in
+    (v, !observed)
   in
-  let d1, f1, t1, v1 = run 1 in
-  let d4, f4, t4, v4 = run 4 in
-  check_int "shard_count normalised" 4 (Validator.shard_count v4);
-  check_int "shard_count seed" 1 (Validator.shard_count v1);
-  check_int "decided identical" d1 d4;
-  check_int "faults identical" f1 f4;
-  Alcotest.(check (list (float 0.))) "detection times identical" t1 t4
-
-let test_batching_fans_out_across_shards () =
-  let run shards =
-    drive (fun cluster ->
-        Jury.Jury_config.install cluster
-          (Jury.Jury_config.make ~shards ~batch:(Time.us 200) ()))
+  let serial, serial_observed = run 1 and piped, piped_observed = run 2 in
+  check_bool "serial run validated inline" true (serial_observed > 0);
+  check_int "pipelined run validated on the stage" 0 piped_observed;
+  (match
+     Jury_check.Run.diff_fingerprint
+       (Jury_check.Run.fingerprint_of_validator serial)
+       (Jury_check.Run.fingerprint_of_validator piped)
+   with
+  | None -> ()
+  | Some d -> Alcotest.failf "jobs=1 vs jobs=2: %s" d);
+  let counters v =
+    [ Validator.decided_count v; Validator.fault_count v;
+      Validator.pending_count v; Validator.unverifiable_count v;
+      Validator.duplicate_count v; Validator.late_count v;
+      Validator.straggler_count v; Validator.batch_count v;
+      Validator.batched_response_count v; Validator.current_epoch v ]
   in
-  let d1, f1, _, v1 = run 1 in
-  let d4, f4, _, v4 = run 4 in
-  check_int "decided identical under batching" d1 d4;
-  check_int "faults identical under batching" f1 f4;
-  check_bool "batches delivered" true (Validator.batch_count v4 > 0);
-  check_int "every response batched"
-    (Validator.batched_response_count v1)
-    (Validator.batched_response_count v4);
-  let busy_shards =
-    Validator.shard_stats v4
-    |> List.filter (fun (s : Validator.shard_stats) ->
-           s.Validator.shard_batches > 0)
-    |> List.length
-  in
-  check_bool "batches spread over several shards" true (busy_shards > 1)
+  Alcotest.(check (list int)) "counters identical" (counters serial)
+    (counters piped);
+  check_bool "batches delivered" true (Validator.batch_count piped > 0)
 
 (* --- bare-validator paths: overload shedding, batch equivalence --- *)
 
@@ -121,13 +130,12 @@ let register v ~serial =
     ~taint:(Types.Taint.external_trigger ~primary:0 ~serial)
     ~at:Time.zero ~primary:0 ~secondaries:[ 1; 2 ]
 
-let bare_validator ?shards ?max_inflight () =
+let bare_validator ?max_inflight () =
   let engine = Engine.create () in
   let cfg =
     Jury.Jury_config.validator
       ~ack_peers_of:(fun _ -> [])
-      (Jury.Jury_config.make ~k:2 ~timeout:(Time.ms 100) ?shards
-         ?max_inflight ())
+      (Jury.Jury_config.make ~k:2 ~timeout:(Time.ms 100) ?max_inflight ())
   in
   (engine, Validator.create engine cfg)
 
@@ -169,8 +177,8 @@ let responses n =
     (List.init n (fun i -> i))
 
 let test_deliver_batch_matches_per_event () =
-  let run ~batched ~shards =
-    let _, v = bare_validator ~shards () in
+  let run ~batched =
+    let _, v = bare_validator () in
     for serial = 0 to 9 do
       register v ~serial
     done;
@@ -179,21 +187,15 @@ let test_deliver_batch_matches_per_event () =
     else List.iter (Validator.deliver v) rs;
     v
   in
-  let a = run ~batched:false ~shards:1 in
-  let b = run ~batched:true ~shards:1 in
-  let c = run ~batched:true ~shards:4 in
+  let a = run ~batched:false in
+  let b = run ~batched:true in
   check_int "per-event decided" 10 (Validator.decided_count a);
   check_int "batched decided" (Validator.decided_count a)
     (Validator.decided_count b);
-  check_int "batched sharded decided" (Validator.decided_count a)
-    (Validator.decided_count c);
   check_int "no batches on the per-event path" 0 (Validator.batch_count a);
-  check_int "one batch per non-empty shard, single shard" 1
-    (Validator.batch_count b);
+  check_int "one batch per call" 1 (Validator.batch_count b);
   check_int "all responses counted as batched" 30
-    (Validator.batched_response_count b);
-  check_bool "sharded batch split into per-shard sub-batches" true
-    (Validator.batch_count c > 1)
+    (Validator.batched_response_count b)
 
 let test_process_counters_support_per_run_deltas () =
   (* The bench's --json report computes per-experiment deltas of the
@@ -217,22 +219,21 @@ let test_process_counters_support_per_run_deltas () =
   check_int "second run's decided delta" decided2 (d2 - d1);
   check_int "second run's batch delta" batches2 (b2 - b1)
 
-let test_obs_bridge_exports_shard_counters () =
-  let _, v = bare_validator ~shards:2 () in
+let test_obs_bridge_exports_validator_counters () =
+  let _, v = bare_validator () in
   for serial = 0 to 3 do
     register v ~serial
   done;
   Validator.deliver_batch v (responses 4);
   let metrics = Jury_sim.Metrics.create () in
-  Jury.Obs_bridge.record_validator_shards v metrics;
-  check_int "per-shard decided counters sum to the total"
-    (Validator.decided_count v)
-    (Jury_sim.Metrics.count metrics "validator/shard0/decided"
-    + Jury_sim.Metrics.count metrics "validator/shard1/decided");
-  check_int "per-shard batch counters sum to the total"
-    (Validator.batch_count v)
-    (Jury_sim.Metrics.count metrics "validator/shard0/batches"
-    + Jury_sim.Metrics.count metrics "validator/shard1/batches");
+  Jury.Obs_bridge.record_validator v metrics;
+  check_int "decided counter exported" (Validator.decided_count v)
+    (Jury_sim.Metrics.count metrics "validator/decided");
+  check_int "batch counter exported" (Validator.batch_count v)
+    (Jury_sim.Metrics.count metrics "validator/batches");
+  check_int "batched-response counter exported"
+    (Validator.batched_response_count v)
+    (Jury_sim.Metrics.count metrics "validator/batch-responses");
   check_int "epoch gauge exported" (Validator.current_epoch v)
     (Jury_sim.Metrics.count metrics "validator/epoch")
 
@@ -248,24 +249,20 @@ let test_make_validates () =
     (raises (fun () ->
          Jury.Jury_config.make ~channel:Jury.Channel.reliable ~drop:0.1 ()));
   check_bool "zero max_inflight rejected" true
-    (raises (fun () -> Jury.Jury_config.make ~max_inflight:0 ()));
-  check_bool "shard hint rounded up" true
-    (Jury.Jury_config.shards (Jury.Jury_config.make ~shards:3 ()) = 4)
+    (raises (fun () -> Jury.Jury_config.make ~max_inflight:0 ()))
 
 let suite =
   [ Alcotest.test_case "facade defaults = literal record" `Slow
       test_facade_defaults_match_literal_record;
-    Alcotest.test_case "shards=1 vs 4 verdict-identical" `Slow
-      test_shards_do_not_change_verdicts;
-    Alcotest.test_case "batching fans out across shards" `Slow
-      test_batching_fans_out_across_shards;
+    Alcotest.test_case "pipeline jobs=2 matches serial" `Slow
+      test_pipeline_matches_serial;
     Alcotest.test_case "max_inflight sheds as Overload" `Quick
       test_max_inflight_sheds_as_overload;
     Alcotest.test_case "deliver_batch = per-event deliver" `Quick
       test_deliver_batch_matches_per_event;
     Alcotest.test_case "process counters give per-run deltas" `Quick
       test_process_counters_support_per_run_deltas;
-    Alcotest.test_case "obs bridge exports shard counters" `Quick
-      test_obs_bridge_exports_shard_counters;
+    Alcotest.test_case "obs bridge exports validator counters" `Quick
+      test_obs_bridge_exports_validator_counters;
     Alcotest.test_case "make validates its arguments" `Quick
       test_make_validates ]

@@ -134,17 +134,20 @@ let test_lineage_roundtrip () =
 (* -- blind identity: `check` without --fuzz is byte-identical to the
    pre-fuzzing tree. Case shape and run fingerprint digests were
    captured at the parent commit; any drift here means the fuzzing PR
-   changed blind semantics, which it must not. -- *)
+   changed blind semantics, which it must not. The case digests were
+   re-captured once, when the retired shard-count axis left the case
+   record: each case text is the old one minus its [shards] line, and
+   the run digests are untouched. -- *)
 
 let blind_pins =
-  [ (42, "e8c8c64d84519e46ba15f267347173ed", "41ffbf10fcdfce9763b835df82d1f697");
-    (43, "57077026fec594b7e9c236a6fa996a26", "6fe6ac729a4a6ab9e043e374e4c7d285");
-    (44, "cfed2f5de145e14d014b8e5c231c3368", "58be4de96de212cdf08b1c9ffa1a43b0");
-    (45, "a98f7ea0492274aaa70e589a48f014bb", "9ea0f525fa1c77bae08b07b034fed884");
-    (46, "0742b69cf2e409a7aa229ad84cb10527", "cc6c97619030987d3c549548830fc175");
-    (1042, "5d78e2685387f8c0e062f4336bd26fc8", "c0ccec84d08f1e8f0f91fd75fb2cec07");
-    (7, "60c29b30b768dc3b1809c7de78a1c522", "7feed672df6ed7f1a23251717d2644ac");
-    (99, "603a40f1ac9518127977bf9bc2bf0ba0", "15a87d54693e9122d606282ed5c76661") ]
+  [ (42, "3c6bb87a76707ab59293f157f9bd4384", "41ffbf10fcdfce9763b835df82d1f697");
+    (43, "f84620d068542d21c1e28ddb4d511049", "6fe6ac729a4a6ab9e043e374e4c7d285");
+    (44, "e5647418aa1b687c32c1e4947ea50fae", "58be4de96de212cdf08b1c9ffa1a43b0");
+    (45, "a0fe848e8c05d8cd387682d19f74a13b", "9ea0f525fa1c77bae08b07b034fed884");
+    (46, "af659bb44c885c6b00bf5de1d6b76365", "cc6c97619030987d3c549548830fc175");
+    (1042, "ec8b75c59e16d2eab566de2ea3240acb", "c0ccec84d08f1e8f0f91fd75fb2cec07");
+    (7, "557284632942e9330ee53e6b88fa9c30", "7feed672df6ed7f1a23251717d2644ac");
+    (99, "1361debd49c428630e5d4a8b7056c9a0", "15a87d54693e9122d606282ed5c76661") ]
 
 let test_blind_fingerprints_pinned () =
   List.iter

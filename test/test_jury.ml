@@ -636,6 +636,45 @@ let test_report () =
   | _ -> Alcotest.fail "one suspect row");
   check_bool "renders" true (String.length (Jury.Report.to_string r2) > 0)
 
+(* Equal alarm counts rank by controller id and equal fault-kind
+   counts by kind name, whatever order the alarms arrive in. *)
+let test_report_tie_break () =
+  let alarm ~serial ~suspect faults =
+    { Jury.Alarm.taint = Types.Taint.external_trigger ~primary:suspect ~serial;
+      trigger_at = Time.zero;
+      decided_at = Time.ms serial;
+      primary = Some suspect;
+      suspects = [ suspect ];
+      term = 0;
+      verdict = Jury.Alarm.Faulty faults;
+      detail = "" }
+  in
+  let a =
+    alarm ~serial:1 ~suspect:3
+      [ Jury.Alarm.Response_timeout; Jury.Alarm.Consensus_mismatch ]
+  in
+  let b =
+    alarm ~serial:2 ~suspect:1
+      [ Jury.Alarm.Network_without_cache; Jury.Alarm.Cache_without_network ]
+  in
+  let ranking alarms =
+    (Jury.Report.of_alarms ~decided:2 ~unverifiable:0 alarms).Jury.Report.suspects
+    |> List.map (fun (row : Jury.Report.suspect_row) ->
+           ( row.Jury.Report.controller,
+             List.map fst row.Jury.Report.fault_kinds ))
+  in
+  let expected =
+    [ (1, List.sort compare
+            [ Jury.Alarm.fault_name Jury.Alarm.Network_without_cache;
+              Jury.Alarm.fault_name Jury.Alarm.Cache_without_network ]);
+      (3, List.sort compare
+            [ Jury.Alarm.fault_name Jury.Alarm.Response_timeout;
+              Jury.Alarm.fault_name Jury.Alarm.Consensus_mismatch ]) ]
+  in
+  let show = Alcotest.(list (pair int (list string))) in
+  Alcotest.check show "alarms a then b" expected (ranking [ a; b ]);
+  Alcotest.check show "alarms b then a" expected (ranking [ b; a ])
+
 let test_audit_log () =
   let engine, v = mk_validator () in
   let audit = Jury.Audit.create ~capacity:100 () in
@@ -928,6 +967,7 @@ let suite =
     ("zero-churn byte identity (onos/odl)", `Quick,
      test_zero_churn_byte_identity);
     ("alarm report", `Quick, test_report);
+    ("report ties rank by id and name", `Quick, test_report_tie_break);
     ("audit log", `Quick, test_audit_log);
     ("deployment benign + faulty", `Slow, test_deployment_benign_and_faulty);
     QCheck_alcotest.to_alcotest prop_validator_total ]

@@ -183,6 +183,21 @@ let test_wire_stream () =
   check_int "count" 3 (List.length decoded);
   check_bool "all equal" true (List.for_all2 Of_message.equal msgs decoded)
 
+(* A header whose length field is shorter than the header itself must
+   be rejected by the codec, not by a stray [String.sub] underneath. *)
+let test_wire_bad_length () =
+  List.iter
+    (fun len ->
+      let header =
+        Printf.sprintf "\001\000\000%c\000\000\000\001" (Char.chr len)
+      in
+      let expected = Printf.sprintf "Of_wire: bad length %d" len in
+      match Of_wire.decode_all header with
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "error message" expected msg
+      | _ -> Alcotest.failf "length %d accepted" len)
+    [ 0; 7 ]
+
 (* --- Error codes --- *)
 
 let test_error_codes () =
@@ -424,6 +439,7 @@ let suite =
     ("wire packet in/out", `Quick, test_wire_packet_in_out);
     ("wire flow mod", `Quick, test_wire_flow_mod);
     ("wire stream deframing", `Quick, test_wire_stream);
+    ("wire rejects short length field", `Quick, test_wire_bad_length);
     ("table priority", `Quick, test_table_priority);
     ("table add replaces", `Quick, test_table_add_replaces);
     ("table modify", `Quick, test_table_modify);
