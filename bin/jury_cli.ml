@@ -15,6 +15,7 @@
 
 open Cmdliner
 module Time = Jury_sim.Time
+module Setup = Jury_experiments.Setup
 
 (* --- shared flag table ---------------------------------------------
 
@@ -82,6 +83,15 @@ module Common = struct
     in
     Term.(const mk $ max_inflight $ batch_us $ pipeline_jobs)
 
+  (* Subcommands build their JURY configuration through [with_jury]:
+     a knob [Jury_config.make] rejects becomes a one-line usage error
+     (exit 124) instead of an uncaught exception. The subcommand's term
+     is wrapped in [Term.ret]. *)
+  let with_jury build run =
+    match build () with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | jury -> `Ok (run jury)
+
   (* Oracle selection is shared by `check --oracle` and `mc --oracle`;
      both resolve through the same name table, so the two subcommands
      accept exactly the same selectors and reject unknown ones with the
@@ -135,11 +145,17 @@ let scenario_cmd =
         Printf.eprintf "unknown scenario %S; try 'jury-cli list'\n" name;
         exit 2
     | Some scenario ->
+        let max_inflight = tuning.Common.max_inflight
+        and batch = tuning.Common.batch
+        and pipeline_jobs = tuning.Common.pipeline_jobs in
+        (* The runner builds this same config again from the same knobs. *)
+        Common.with_jury (fun () ->
+            Jury_faults.Scenarios.jury_config scenario ~k ?max_inflight ?batch
+              ~pipeline_jobs ())
+        @@ fun _ ->
         let report =
           Jury_faults.Runner.run ~seed ~nodes ~k ~faulty ~switches
-            ?max_inflight:tuning.Common.max_inflight
-            ?batch:tuning.Common.batch
-            ~pipeline_jobs:tuning.Common.pipeline_jobs scenario
+            ?max_inflight ?batch ~pipeline_jobs scenario
         in
         Format.printf "%a@." Jury_faults.Runner.pp_report report;
         List.iter
@@ -149,8 +165,9 @@ let scenario_cmd =
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Inject one fault scenario and report detection")
-    Term.(const run $ name_arg $ Common.nodes $ Common.k $ Common.faulty
-          $ Common.seed $ Common.switches $ Common.tuning)
+    Term.(ret
+            (const run $ name_arg $ Common.nodes $ Common.k $ Common.faulty
+             $ Common.seed $ Common.switches $ Common.tuning))
 
 (* --- matrix --- *)
 
@@ -252,19 +269,6 @@ let simulate_cmd =
       | `Odl -> Jury_controller.Profile.odl
       | `Ryu -> Jury_controller.Profile.ryu
     in
-    let engine = Jury_sim.Engine.create ~seed () in
-    let plan =
-      Jury_topo.Builder.linear ~switches ~hosts_per_switch:1
-    in
-    let network = Jury_net.Network.create engine plan () in
-    let cluster =
-      Jury_controller.Cluster.create engine ~profile ~nodes ~network ()
-    in
-    let channel =
-      if drop = 0. && duplicate = 0. && jitter_us = 0. then
-        Jury.Channel.reliable
-      else Jury.Jury_config.lossy_channel ~drop ~duplicate ~jitter_us ()
-    in
     let retransmit =
       if retries > 0 then
         Some (Jury.Jury_config.retransmit ~max_retries:retries ())
@@ -276,22 +280,19 @@ let simulate_cmd =
           { Jury_controller.Cluster.period = Time.ms ms; timeout_beats = 2 })
         election_ms
     in
-    let deployment =
-      Jury.Jury_config.install cluster
-        (Jury.Jury_config.make ~k ~channel ?retransmit ?degraded_quorum
-           ?max_inflight:tuning.Common.max_inflight ?batch:tuning.Common.batch
-           ~pipeline_jobs:tuning.Common.pipeline_jobs ?election ())
-    in
-    let validator = Jury.Deployment.validator deployment in
-    Jury_controller.Cluster.converge cluster;
-    List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
-    Jury_sim.Engine.run engine
-      ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec 1));
-    let rng = Jury_sim.Rng.split (Jury_sim.Engine.rng engine) in
-    Jury_workload.Flows.controlled_mix network ~rng ~packet_in_rate:rate
-      ~duration:(Time.sec duration);
-    Jury_sim.Engine.run engine
-      ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec (duration + 2)));
+    Common.with_jury (fun () ->
+        Jury.Jury_config.make ~k ~drop ~duplicate ~jitter_us ?retransmit
+          ?degraded_quorum ?max_inflight:tuning.Common.max_inflight
+          ?batch:tuning.Common.batch
+          ~pipeline_jobs:tuning.Common.pipeline_jobs ?election ())
+    @@ fun jury ->
+    let env = Setup.make ~seed ~switches ~jury ~profile ~nodes () in
+    let cluster = env.Setup.cluster in
+    let deployment = Option.get env.Setup.deployment in
+    let validator = Setup.validator env in
+    Jury_workload.Flows.controlled_mix env.Setup.network ~rng:env.Setup.rng
+      ~packet_in_rate:rate ~duration:(Time.sec duration);
+    Setup.run_for env (Time.sec (duration + 2));
     Jury.Validator.drain_pipeline validator;
     let report = Jury.Report.of_validator validator in
     print_string (Jury.Report.to_string report);
@@ -309,7 +310,9 @@ let simulate_cmd =
          (Jury_controller.Cluster.fabric cluster))
       (Jury.Deployment.replication_bytes deployment)
       (Jury.Deployment.validator_bytes deployment);
-    if not (Jury.Channel.is_reliable channel) || retries > 0 then begin
+    if not (Jury.Channel.is_reliable jury.Jury.Jury_config.channel)
+       || retries > 0
+    then begin
       Format.printf "channels (all links): %a@." Jury.Channel.pp_stats
         (Jury.Deployment.channel_totals deployment);
       Printf.printf
@@ -339,36 +342,28 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Run a benign workload on a JURY-enhanced cluster, optionally \
              over lossy channels")
-    Term.(const run $ profile_arg $ Common.nodes $ Common.k $ rate_arg
-          $ duration_arg $ Common.seed $ Common.switches $ drop_arg
-          $ duplicate_arg $ jitter_arg $ retries_arg $ degraded_arg
-          $ election_arg $ Common.tuning)
+    Term.(ret
+            (const run $ profile_arg $ Common.nodes $ Common.k $ rate_arg
+             $ duration_arg $ Common.seed $ Common.switches $ drop_arg
+             $ duplicate_arg $ jitter_arg $ retries_arg $ degraded_arg
+             $ election_arg $ Common.tuning))
 
 (* --- failover --- *)
 
 let failover_cmd =
   let run nodes k seed switches =
-    let engine = Jury_sim.Engine.create ~seed () in
-    let plan = Jury_topo.Builder.linear ~switches ~hosts_per_switch:1 in
-    let network = Jury_net.Network.create engine plan () in
-    let cluster =
-      Jury_controller.Cluster.create engine
-        ~profile:Jury_controller.Profile.onos ~nodes ~network ()
+    Common.with_jury (fun () -> Jury.Jury_config.make ~k ()) @@ fun jury ->
+    let env =
+      Setup.make ~seed ~switches ~jury ~profile:Jury_controller.Profile.onos
+        ~nodes ()
     in
-    let deployment =
-      Jury.Jury_config.install cluster (Jury.Jury_config.make ~k ())
-    in
-    Jury_controller.Cluster.converge cluster;
-    List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
-    Jury_sim.Engine.run engine
-      ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec 1));
+    let cluster = env.Setup.cluster and network = env.Setup.network in
     let victim = 1 in
     Printf.printf "crashing replica %d and failing over its switches...\n"
       victim;
     Jury_faults.Injector.crash cluster ~node:victim;
     Jury_controller.Cluster.fail_over cluster ~node:victim;
-    Jury_sim.Engine.run engine
-      ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec 2));
+    Setup.run_for env (Time.sec 2);
     Printf.printf "alive replicas: [%s]\n"
       (String.concat ", "
          (List.map string_of_int
@@ -380,19 +375,19 @@ let failover_cmd =
     in
     Jury_net.Host.send_tcp h0 ~dst_mac:(Jury_net.Host.mac h_last)
       ~dst_ip:(Jury_net.Host.ip h_last) ~src_port:9000 ~dst_port:80 ();
-    Jury_sim.Engine.run engine
-      ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec 2));
+    Setup.run_for env (Time.sec 2);
     Printf.printf "traffic after failover: %s\n"
       (if Jury_net.Host.received_count h_last > 0 then "delivered"
        else "LOST");
     print_string
-      (Jury.Report.to_string
-         (Jury.Report.of_validator (Jury.Deployment.validator deployment)))
+      (Jury.Report.to_string (Jury.Report.of_validator (Setup.validator env)))
   in
   Cmd.v
     (Cmd.info "failover"
        ~doc:"Crash a replica, fail its switches over, verify service")
-    Term.(const run $ Common.nodes $ Common.k $ Common.seed $ Common.switches)
+    Term.(ret
+            (const run $ Common.nodes $ Common.k $ Common.seed
+             $ Common.switches))
 
 (* --- trace --- *)
 
@@ -424,6 +419,8 @@ let trace_cmd =
              ~doc:"Write the (filtered) events to FILE as JSONL.")
   in
   let run scenario nodes k seed switches taint_f node_f phase_f jsonl =
+    (* The scenario path builds its own config from the same [k]. *)
+    Common.with_jury (fun () -> Jury.Jury_config.make ~k ()) @@ fun jury ->
     let trace = Jury_obs.Trace.create ~capacity:500_000 () in
     let focus =
       match scenario with
@@ -443,25 +440,13 @@ let trace_cmd =
                     (Jury_controller.Types.Taint.to_string a.Jury.Alarm.taint)
               | [] -> None))
       | None ->
-          let engine = Jury_sim.Engine.create ~seed () in
-          Jury_sim.Engine.set_trace engine trace;
-          let plan = Jury_topo.Builder.linear ~switches ~hosts_per_switch:1 in
-          let network = Jury_net.Network.create engine plan () in
-          let cluster =
-            Jury_controller.Cluster.create engine
-              ~profile:Jury_controller.Profile.onos ~nodes ~network ()
+          let env =
+            Setup.make ~seed ~switches ~trace ~jury
+              ~profile:Jury_controller.Profile.onos ~nodes ()
           in
-          ignore
-            (Jury.Jury_config.install cluster (Jury.Jury_config.make ~k ()));
-          Jury_controller.Cluster.converge cluster;
-          List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
-          Jury_sim.Engine.run engine
-            ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec 1));
-          let rng = Jury_sim.Rng.split (Jury_sim.Engine.rng engine) in
-          Jury_workload.Flows.controlled_mix network ~rng ~packet_in_rate:500.
-            ~duration:(Time.sec 2);
-          Jury_sim.Engine.run engine
-            ~until:(Time.add (Jury_sim.Engine.now engine) (Time.sec 3));
+          Jury_workload.Flows.controlled_mix env.Setup.network
+            ~rng:env.Setup.rng ~packet_in_rate:500. ~duration:(Time.sec 2);
+          Setup.run_for env (Time.sec 3);
           None
     in
     let events = Jury_obs.Trace.events trace in
@@ -510,8 +495,10 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run with the causal trace enabled and render a trigger timeline")
-    Term.(const run $ scenario_arg $ Common.nodes $ Common.k $ Common.seed
-          $ Common.switches $ taint_arg $ node_arg $ phase_arg $ jsonl_arg)
+    Term.(ret
+            (const run $ scenario_arg $ Common.nodes $ Common.k $ Common.seed
+             $ Common.switches $ taint_arg $ node_arg $ phase_arg
+             $ jsonl_arg))
 
 (* --- validator-scale --- *)
 

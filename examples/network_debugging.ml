@@ -24,7 +24,7 @@ let () =
       ~network ()
   in
   let deployment =
-    Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ())
+    Jury.Deployment.install cluster (Jury.Jury_config.make ~k:2 ())
   in
   (* Tap every switch before any traffic flows. *)
   let capture = Capture.create ~capacity:5_000 engine in

@@ -63,7 +63,7 @@ let () =
       ~network ()
   in
   let deployment =
-    Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ~policies ())
+    Jury.Deployment.install cluster (Jury.Jury_config.make ~k:2 ~policies ())
   in
   let validator = Jury.Deployment.validator deployment in
   Cluster.converge cluster;

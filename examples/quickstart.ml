@@ -24,11 +24,12 @@ let () =
      validated out-of-band. *)
   let cluster = Cluster.create engine ~profile:Profile.onos ~nodes:5 ~network () in
   let deployment =
-    Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ())
+    Jury.Deployment.install cluster (Jury.Jury_config.make ~k:2 ())
   in
   let validator = Jury.Deployment.validator deployment in
-  Jury.Validator.set_alarm_handler validator (fun alarm ->
-      Format.printf "  !! ALARM %a@." Jury.Alarm.pp alarm);
+  Jury.Validator.on_verdict validator (fun alarm ->
+      if Jury.Alarm.is_fault alarm then
+        Format.printf "  !! ALARM %a@." Jury.Alarm.pp alarm);
 
   (* 3. Boot: mastership assignment, switch connection, LLDP topology
      discovery, host announcement. *)

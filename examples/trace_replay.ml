@@ -22,7 +22,7 @@ let run_trace (profile : Traces.profile) =
       ~network ()
   in
   let deployment =
-    Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:6 ())
+    Jury.Deployment.install cluster (Jury.Jury_config.make ~k:6 ())
   in
   let validator = Jury.Deployment.validator deployment in
   Cluster.converge cluster;

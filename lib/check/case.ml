@@ -125,20 +125,11 @@ let generate ~seed = Gen.run ~seed (gen seed)
 
 let zero_loss t = t.drop = 0. && t.duplicate = 0. && t.jitter_us = 0.
 
-let channel t =
-  Jury.Jury_config.lossy_channel ~drop:t.drop ~duplicate:t.duplicate
-    ~jitter_us:t.jitter_us ()
-
 let jury_config ?batch_us ?pipeline_jobs ?policies
     ?(force_reliable = false) ?(deterministic = false) t =
   let batch_us = Option.value batch_us ~default:t.batch_us in
-  let channel =
-    if force_reliable then (
-      if not (zero_loss t) then
-        invalid_arg "Case.jury_config: force_reliable on a lossy case";
-      Jury.Channel.reliable)
-    else channel t
-  in
+  if force_reliable && not (zero_loss t) then
+    invalid_arg "Case.jury_config: force_reliable on a lossy case";
   let retransmit =
     if t.retries > 0 then
       Some (Jury.Jury_config.retransmit ~max_retries:t.retries ())
@@ -154,7 +145,8 @@ let jury_config ?batch_us ?pipeline_jobs ?policies
     | None -> (retransmit, t.max_inflight, batch_us)
     | Some _ -> (None, None, Some (Option.value batch_us ~default:200))
   in
-  Jury.Jury_config.make ~k:t.k ~encapsulation:t.odl ~channel ?retransmit
+  Jury.Jury_config.make ~k:t.k ~encapsulation:t.odl ~drop:t.drop
+    ~duplicate:t.duplicate ~jitter_us:t.jitter_us ?retransmit
     ?degraded_quorum:t.degraded_quorum ?max_inflight
     ?batch:(Option.map Jury_sim.Time.us batch_us)
     ?pipeline_jobs ?policies ~deterministic_latencies:deterministic ()

@@ -97,10 +97,6 @@ val zero_loss : t -> bool
 (** No drop, no duplication, no jitter — the channel profile is
     required to behave bit-for-bit like {!Jury.Channel.reliable}. *)
 
-val channel : t -> Jury.Channel.profile
-(** The out-of-band channel profile the case prescribes (via
-    [Jury_config.lossy_channel], so the knobs are validated). *)
-
 val jury_config :
   ?batch_us:int option -> ?pipeline_jobs:int ->
   ?policies:Jury_policy.Engine.t ->
@@ -108,8 +104,8 @@ val jury_config :
   Jury.Jury_config.t
 (** The {!Jury.Jury_config.t} the case denotes. The optional arguments
     override single axes for the equivalence oracles: [batch_us]
-    replaces the case's value; [force_reliable] substitutes
-    {!Jury.Channel.reliable} for the case's (zero-loss) profile;
+    replaces the case's value; [force_reliable] asserts the case
+    is zero-loss, so its channel is {!Jury.Channel.reliable};
     [deterministic] sets [deterministic_latencies] (the schedule
     explorer's jitter-free mode, see {!Jury.Jury_config.make}).
     [policies] supplies the (initially empty) live policy engine the

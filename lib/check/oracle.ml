@@ -162,13 +162,9 @@ let bare_validator (case : Case.t) =
   let max_inflight =
     Option.map (fun _ -> max 2 (case.Case.triggers / 2)) case.Case.max_inflight
   in
-  let cfg =
-    Jury.Jury_config.validator
-      ~ack_peers_of:(fun _ -> [])
-      (Jury.Jury_config.make ~k:case.Case.k ~timeout:(Time.ms 100)
-         ?max_inflight ())
-  in
-  Validator.create engine cfg
+  Validator.create engine
+    (Jury.Jury_config.make ~k:case.Case.k ~timeout:(Time.ms 100)
+       ?max_inflight ())
 
 let chunk sizes_rng stream =
   let rec go acc = function

@@ -209,7 +209,7 @@ let execute ?chooser ?(deterministic = false) ?batch_us
     Jury_controller.Cluster.create engine ~profile ~nodes:case.Case.nodes
       ~network ()
   in
-  let deployment = Jury.Jury_config.install cluster config in
+  let deployment = Jury.Deployment.install cluster config in
   let validator = Jury.Deployment.validator deployment in
   Jury_controller.Cluster.converge cluster;
   List.iter Jury_net.Host.join (Jury_net.Network.hosts network);

@@ -8,29 +8,19 @@ module Event = Jury_store.Event
 module Of_message = Jury_openflow.Of_message
 module Of_wire = Jury_openflow.Of_wire
 
-type config = {
-  k : int;
-  timeout : Time.t;
-  adaptive_timeout : bool;
-  state_aware : bool;
-  nondet_rule : bool;
-  random_secondaries : bool;
-  policies : Jury_policy.Engine.t;
-  validator_latency : Time.t;
-  validator_jitter_us : float;
-  replication_latency : Time.t;
-  replication_jitter_us : float;
-  chatter_cost : Time.t;
-  chatter_bytes : int;
-  encapsulation : bool;
-  channel : Channel.profile;
-  retransmit : Validator.retransmit option;
-  degraded_quorum : int option;
-  max_inflight : int option;
-  batch_window : Time.t option;
-  pipeline_jobs : int;
-  election : Cluster.election_config option;
-}
+(* Out-of-band link model. Every deployment uses these; the two jitter
+   means (µs, exponential) are dropped when the config asks for
+   deterministic latencies. *)
+let validator_latency = Time.us 120  (* replica → validator, one way *)
+let validator_jitter_us = 60.
+let replication_latency = Time.us 200  (* OVS → secondary *)
+let replication_jitter_us = 80.
+
+(* Pipeline time, and bytes, the primary pays per replicated trigger
+   for the secondaries' mastership-status chatter (Hazelcast,
+   SVII-B2). *)
+let chatter_cost = Time.us 13
+let chatter_bytes_per_trigger = 96
 
 type node_module = {
   mutable snapshot : Snapshot.t;
@@ -48,7 +38,7 @@ type inflight = {
 
 type t = {
   cluster : Cluster.t;
-  cfg : config;
+  cfg : Jury_config.t;
   engine : Engine.t;
   validator : Validator.t;
   rng : Rng.t;
@@ -79,10 +69,15 @@ let validator t = t.validator
 let cluster t = t.cluster
 let cfg t = t.cfg
 
-let ack_peers t origin =
-  let n = Cluster.nodes t.cluster in
-  let k = min t.cfg.k (n - 1) in
+(* The [k] nodes after [origin] in id order: the peers whose cache acks
+   the validator expects, and the secondaries when they are not sampled
+   at random. *)
+let static_peers cluster ~k origin =
+  let n = Cluster.nodes cluster in
+  let k = min k (n - 1) in
   List.init k (fun i -> (origin + i + 1) mod n)
+
+let ack_peers t origin = static_peers t.cluster ~k:t.cfg.k origin
 
 (* Bytes a response adds to JURY's own out-of-band traffic. Cache
    updates cost nothing here: the validator hosts a cache instance and
@@ -155,16 +150,16 @@ let send_to_validator t ~delay (r : Response.t) =
         ~phase:Jury_obs.Trace.Validate ~node:r.Response.controller ~link
         "duplicate"
 
-(* Zero jitter must draw nothing: a deterministic-latency deployment
+(* Deterministic latencies must draw nothing: such a deployment
    (Jury_config ~deterministic_latencies) leaves the replicator's RNG
    stream untouched so equal-timestamp events cannot interfere through
    it — the schedule explorer's dependence relation assumes as much. *)
 let jittered t base jitter_us =
-  if jitter_us <= 0. then base
+  if t.cfg.deterministic_latencies then base
   else Time.add base (Time.of_float_us (Rng.exponential t.rng jitter_us))
 
 let validator_link_delay t =
-  jittered t t.cfg.validator_latency t.cfg.validator_jitter_us
+  jittered t validator_latency validator_jitter_us
 
 let make_response t ~node ~taint body =
   { Response.controller = node;
@@ -312,8 +307,9 @@ let run_shadow t ~secondary ~primary ~taint trigger =
          primary's pipeline (the <11% of Fig. 4h). *)
       Pipeline.add_load
         (Controller.pipeline (Cluster.controller t.cluster primary))
-        t.cfg.chatter_cost;
-      t.chatter_bytes_total <- t.chatter_bytes_total + t.cfg.chatter_bytes;
+        chatter_cost;
+      t.chatter_bytes_total <-
+        t.chatter_bytes_total + chatter_bytes_per_trigger;
       let actions = Controller.shadow_execute ctrl ~as_id:primary trigger in
       (* Standalone (Ryu-style) instances share no store: validation
          replicates the *action stream* instead. Each secondary applies
@@ -353,9 +349,7 @@ let pick_secondaries t ~primary =
    shadow executes twice — the validator deduplicates), but the causal
    span closes once, at the first arrival. *)
 let send_replica t ~secondary ~primary ~taint ~(decap : bool) ~rspan trigger =
-  let delay =
-    jittered t t.cfg.replication_latency t.cfg.replication_jitter_us
-  in
+  let delay = jittered t replication_latency replication_jitter_us in
   (* Arrival submits to the secondary's shadow pipeline and (chatter)
      loads the primary's; with decapsulation it also draws the
      replicator's shared RNG, which only opaque declares honestly. *)
@@ -494,7 +488,7 @@ let handle_failover t ~term ~failed ~leader =
                 (Engine.schedule t.engine
                    ~footprint:
                      (Footprint.touches [ Footprint.controller new_primary ])
-                   ~after:t.cfg.replication_latency
+                   ~after:replication_latency
                    (fun () ->
                      Controller.submit
                        (Cluster.controller t.cluster new_primary)
@@ -508,33 +502,11 @@ let mint_taint t ~primary =
 
 (* --- Install --- *)
 
-let install cluster cfg =
+let install cluster (cfg : Jury_config.t) =
   let engine = Cluster.engine cluster in
   let n = Cluster.nodes cluster in
   let profile = Cluster.profile cluster in
   let clustered = profile.Jury_controller.Profile.clustered in
-  (* Built as a record literal from the already-validated deployment
-     config. *)
-  let validator_cfg =
-    { Validator.k = cfg.k;
-      timeout = cfg.timeout;
-      adaptive_timeout = cfg.adaptive_timeout;
-      min_timeout = Time.ms 10;
-      (* Standalone instances never share state, so their snapshots can
-         never be equal across nodes (each digests its own origin/seq
-         history): state-aware consensus would excuse everything. The
-         standalone mode is therefore always state-blind — the
-         cross-instance response vote carries the verdict. *)
-      state_aware = cfg.state_aware && clustered;
-      nondet_rule = cfg.nondet_rule;
-      policies = cfg.policies;
-      master_lookup = (fun dpid -> Some (Cluster.master_of cluster dpid));
-      term_lookup = (fun () -> Cluster.current_term cluster);
-      ack_peers_of = (fun _ -> []);
-      retransmit = cfg.retransmit;
-      degraded_quorum = cfg.degraded_quorum;
-      max_inflight = cfg.max_inflight }
-  in
   (* RNG-draw order is load-bearing: the shadow pipelines split the
      engine RNG per node, and the deployment's own split must come
      after all of them (and before the validator) or every seeded
@@ -560,11 +532,27 @@ let install cluster cfg =
                  ~overload_backlog:(Time.sec 10) ()) })
   in
   let rng = Rng.split (Engine.rng engine) in
+  (* Standalone instances never share state, so their snapshots can
+     never be equal across nodes (each digests its own origin/seq
+     history): state-aware consensus would excuse everything. The
+     standalone mode is therefore always state-blind — the
+     cross-instance response vote carries the verdict. Standalone
+     fabrics never replicate either, so no peer ack can ever arrive:
+     completeness would deadlock waiting for one, and the ack set stays
+     empty. *)
+  let validator =
+    Validator.create
+      ~master_lookup:(fun dpid -> Some (Cluster.master_of cluster dpid))
+      ~term_lookup:(fun () -> Cluster.current_term cluster)
+      ~ack_peers_of:
+        (if clustered then static_peers cluster ~k:cfg.k else fun _ -> [])
+      ~state_blind:(not clustered) engine cfg
+  in
   let t =
     { cluster;
       cfg;
       engine;
-      validator = Validator.create engine validator_cfg;
+      validator;
       rng;
       replica_links =
         Array.init n (fun i ->
@@ -589,35 +577,13 @@ let install cluster cfg =
       replicated_triggers = 0;
       decap_samples = [] }
   in
-  (* ack_peers_of closes over t, so rebuild the validator config now
-     that t exists. Standalone fabrics never replicate, so no peer ack
-     can ever arrive — completeness would deadlock waiting for them;
-     the trivial ack set stays. *)
-  let validator_cfg =
-    if clustered then
-      { validator_cfg with Validator.ack_peers_of = (fun o -> ack_peers t o) }
-    else validator_cfg
-  in
-  let validator = Validator.create engine validator_cfg in
-  let t = { t with validator } in
-  (* Staged pipeline: only when the run can be replayed exactly on
-     detached pipeline replicas. [config] already rejects the feature
-     conflicts, but literal-record constructors bypass it, and the
-     trace sink is only known now — so gate again here; an ineligible
-     config silently stays on the inline (oracle) path. [ack_peers]
-     reads nothing but the static cluster size, so sharing the closure
-     with replicas is domain-safe. *)
-  if
-    cfg.pipeline_jobs > 1
-    && cfg.batch_window <> None
-    && cfg.retransmit = None
-    && (not cfg.adaptive_timeout)
-    && cfg.max_inflight = None
-    && cfg.election = None
-    && Jury_policy.Engine.rule_count cfg.policies = 0
-    && not (trace_enabled t)
-  then
-    Stage.attach ~pool:(Jury_par.Pool.default ()) validator_cfg t.validator;
+  (* Staged pipeline: [Jury_config.make] already rejected the feature
+     conflicts; the trace sink is only known now, and a traced run stays
+     on the inline (oracle) path. The ack-peer closure reads nothing but
+     the static cluster size, so sharing it with the replica is
+     domain-safe. *)
+  if cfg.pipeline_jobs > 1 && not (trace_enabled t) then
+    Stage.attach ~pool:(Jury_par.Pool.default ()) t.validator;
   (* The retransmission loop only exists when asked for: registering the
      handler and verdict observer is gated so a default configuration
      keeps the validator byte-for-byte on the seed's event schedule. *)

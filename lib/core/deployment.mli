@@ -11,73 +11,20 @@
 module Types = Jury_controller.Types
 module Cluster = Jury_controller.Cluster
 
-type config = {
-  k : int;                            (** replication factor *)
-  timeout : Jury_sim.Time.t;          (** validation timeout θτ *)
-  adaptive_timeout : bool;            (** §VIII-1: RTO-style adaptive θτ *)
-  state_aware : bool;
-  nondet_rule : bool;
-  random_secondaries : bool;
-      (** sample k fresh secondaries per trigger (paper default) vs the
-          primary's static peer set (ablation) *)
-  policies : Jury_policy.Engine.t;
-  validator_latency : Jury_sim.Time.t;      (** out-of-band link, one way *)
-  validator_jitter_us : float;
-      (** exponential mean (µs) added to [validator_latency]; non-positive
-          = fixed latency, no RNG draw *)
-  replication_latency : Jury_sim.Time.t;    (** OVS → secondary *)
-  replication_jitter_us : float;
-      (** exponential mean (µs) added to [replication_latency];
-          non-positive = fixed latency, no RNG draw *)
-  chatter_cost : Jury_sim.Time.t;
-      (** pipeline time the primary pays per replicated trigger for the
-          secondaries' mastership-status chatter (Hazelcast, §VII-B2) *)
-  chatter_bytes : int;
-  encapsulation : bool;               (** ODL-style OVS replication *)
-  channel : Channel.profile;
-      (** loss model applied to every replication and
-          response-collection link; {!Channel.reliable} reproduces the
-          seed bit-for-bit *)
-  retransmit : Validator.retransmit option;
-      (** re-replicate to straggling secondaries (bounded, with
-          exponential backoff); [None] = no retransmission *)
-  degraded_quorum : int option;
-      (** allow reduced-quorum [Ok_degraded] verdicts on timeout;
-          [None] = seed behaviour *)
-  max_inflight : int option;
-      (** validator in-flight high-water mark; [None] = unbounded *)
-  batch_window : Jury_sim.Time.t option;
-      (** when set, responses coming off the out-of-band links are
-          accumulated for this long and handed to the validator as one
-          batch; [None] = one {!Validator.deliver} per
-          response (seed behaviour) *)
-  pipeline_jobs : int;
-      (** intra-run parallelism: when > 1, validation runs as a staged
-          pipeline over the {!Jury_par.Pool} domain pool ({!Stage}):
-          one consumer domain drains an SPSC ring into a replica
-          validator; 1 = the serial (oracle) path, byte-identical to
-          the seed. Pipelined runs must call
-          {!Validator.drain_pipeline} (or {!Validator.flush}) before
-          reading results *)
-  election : Cluster.election_config option;
-      (** when set, {!install} starts the cluster's deterministic
-          master election ({!Cluster.enable_election}) and subscribes
-          the replicator: a mid-run master crash re-attributes every
-          undecided in-flight trigger of the failed node to its new
-          master ({!Validator.reattribute}) and re-drives it there with
-          the same taint, so validation continues across the leadership
-          change instead of timing out. [None] = no election timer, no
-          listener — churn-free runs stay byte-identical to the seed.
-          Incompatible with [pipeline_jobs > 1] (the term lookup reads
-          live cluster state) *)
-}
-
 type t
 
-val install : Cluster.t -> config -> t
+val install : Cluster.t -> Jury_config.t -> t
 (** Interpose on the cluster. Install before {!Cluster.start} so that
     bootstrap triggers are validated too, or after for workload-only
-    validation. *)
+    validation.
+
+    With [pipeline_jobs > 1] (and no trace sink on the engine) the
+    validator runs as a staged pipeline ({!Stage}); read its results
+    after {!Validator.drain_pipeline} (or {!Validator.flush}). A config
+    with an [election] starts the cluster's master election
+    ({!Cluster.enable_election}) and re-attributes the in-flight
+    triggers of a crashed master to its successor
+    ({!Validator.reattribute}). *)
 
 val validator : t -> Validator.t
 (** The deployment's validator — verdicts and counters are read here. *)
@@ -85,12 +32,8 @@ val validator : t -> Validator.t
 val cluster : t -> Cluster.t
 (** The cluster being interposed on. *)
 
-val cfg : t -> config
+val cfg : t -> Jury_config.t
 (** The configuration {!install} was given. *)
-
-val ack_peers : t -> int -> int list
-(** Static peer set whose cache acks the validator expects for a given
-    origin. *)
 
 val rejoin_node : t -> node:int -> unit
 (** Crash-and-rejoin recovery for a replica: clear its store partition,

@@ -1,14 +1,33 @@
-(* The sole construction path for deployment and validator configs:
-   the pre-facade smart constructors were deleted (deprecated PR 4,
-   removed PR 9), so their validation logic lives here and the records
-   are built as literals. Documented in DESIGN.md ("Deprecation
-   policy"). *)
+(* The one JURY configuration record. [make] is its only constructor
+   (the type is private in the interface) and does all the validation,
+   so consumers read the fields without re-checking them. *)
 
 open Jury_sim
 
-(* Internal representation: the historical deployment record, so the
-   facade adds no translation layer and `deployment` is the identity. *)
-type t = Deployment.config
+type retransmit = {
+  fraction : float;
+  backoff : float;
+  max_retries : int;
+}
+
+type t = {
+  k : int;
+  timeout : Time.t;
+  adaptive_timeout : bool;
+  state_aware : bool;
+  nondet_rule : bool;
+  random_secondaries : bool;
+  deterministic_latencies : bool;
+  policies : Jury_policy.Engine.t;
+  encapsulation : bool;
+  channel : Channel.profile;
+  retransmit : retransmit option;
+  degraded_quorum : int option;
+  max_inflight : int option;
+  batch_window : Time.t option;
+  pipeline_jobs : int;
+  election : Jury_controller.Cluster.election_config option;
+}
 
 let retransmit ?(fraction = 0.4) ?(backoff = 2.0) ?(max_retries = 2) () =
   if not (fraction > 0. && fraction <= 1.) then
@@ -17,20 +36,11 @@ let retransmit ?(fraction = 0.4) ?(backoff = 2.0) ?(max_retries = 2) () =
     invalid_arg "Jury_config.retransmit: backoff must be >= 1";
   if max_retries < 0 then
     invalid_arg "Jury_config.retransmit: max_retries must be >= 0";
-  { Validator.fraction; backoff; max_retries }
-
-let lossy_channel = Channel.lossy
-
-let election ?(period = Time.ms 100) ?(timeout_beats = 3) () =
-  if not Time.(period > zero) then
-    invalid_arg "Jury_config.election: period must be positive";
-  if timeout_beats < 1 then
-    invalid_arg "Jury_config.election: timeout_beats must be >= 1";
-  { Jury_controller.Cluster.period; timeout_beats }
+  { fraction; backoff; max_retries }
 
 let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     ?(nondet_rule = true) ?random_secondaries ?policies
-    ?(encapsulation = false) ?channel ?drop ?duplicate ?jitter_us ?retransmit
+    ?(encapsulation = false) ?drop ?duplicate ?jitter_us ?retransmit
     ?degraded_quorum ?max_inflight ?batch
     ?(deterministic_latencies = false) ?(pipeline_jobs = 1) ?election () =
   if k < 0 then invalid_arg "Jury_config.make: k must be >= 0";
@@ -42,31 +52,24 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
      across worker domains shares a read-only compiled view instead of
      racing to build it). *)
   ignore (Jury_policy.Engine.compiled policies);
-  let channel =
-    match (channel, drop, duplicate, jitter_us) with
-    | Some c, None, None, None -> c
-    | Some _, _, _, _ ->
-        invalid_arg
-          "Jury_config.make: pass either ~channel or ~drop/~duplicate/~jitter_us, not both"
-    | None, None, None, None -> Channel.reliable
-    | None, _, _, _ -> Channel.lossy ?drop ?duplicate ?jitter_us ()
-  in
-  (* Deterministic latencies pin both out-of-band links to their base
-     delays (and skip their RNG draws entirely) and replace randomly
-     sampled secondaries with the static peer set — the replicator then
-     consumes no randomness at all, which the schedule explorer's
-     dependence relation relies on. *)
+  let channel = Channel.lossy ?drop ?duplicate ?jitter_us () in
+  (* Deterministic latencies also replace randomly sampled secondaries
+     with the static peer set — the replicator then consumes no
+     randomness at all, which the schedule explorer's dependence
+     relation relies on. *)
   let random_secondaries =
     if deterministic_latencies then false
     else Option.value random_secondaries ~default:true
   in
-  let validator_jitter_us = if deterministic_latencies then 0. else 60. in
-  let replication_jitter_us = if deterministic_latencies then 0. else 80. in
   let timeout =
     match timeout with
     | Some t -> t
     | None -> if encapsulation then Time.ms 800 else Time.ms 150
   in
+  (match degraded_quorum with
+  | Some q when q < 1 ->
+      invalid_arg "Jury_config.make: degraded_quorum must be >= 1"
+  | _ -> ());
   (match max_inflight with
   | Some m when m < 1 ->
       invalid_arg "Jury_config.make: max_inflight must be >= 1"
@@ -75,6 +78,13 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
   | Some w when not Time.(w > zero) ->
       invalid_arg "Jury_config.make: batch window must be positive"
   | _ -> ());
+  (match election with
+  | Some { Jury_controller.Cluster.period; timeout_beats } ->
+      if not Time.(period > zero) then
+        invalid_arg "Jury_config.make: election period must be positive";
+      if timeout_beats < 1 then
+        invalid_arg "Jury_config.make: election timeout_beats must be >= 1"
+  | None -> ());
   if pipeline_jobs < 1 then
     invalid_arg "Jury_config.make: pipeline_jobs must be >= 1";
   (* The staged pipeline runs validation off the main domain; every
@@ -103,19 +113,14 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     end
     else batch
   in
-  { Deployment.k;
+  { k;
     timeout;
     adaptive_timeout;
     state_aware;
     nondet_rule;
     random_secondaries;
+    deterministic_latencies;
     policies;
-    validator_latency = Time.us 120;
-    validator_jitter_us;
-    replication_latency = Time.us 200;
-    replication_jitter_us;
-    chatter_cost = Time.us 13;
-    chatter_bytes = 96;
     encapsulation;
     channel;
     retransmit;
@@ -124,35 +129,3 @@ let make ?(k = 2) ?timeout ?(adaptive_timeout = false) ?(state_aware = true)
     batch_window = batch;
     pipeline_jobs;
     election }
-
-let deployment t = t
-
-let validator ?(min_timeout = Time.ms 10) ?(master_lookup = fun _ -> None)
-    ?(term_lookup = fun () -> 0) ?(ack_peers_of = fun _ -> []) (t : t) =
-  (match t.Deployment.degraded_quorum with
-  | Some q when q < 1 ->
-      invalid_arg "Jury_config.validator: degraded_quorum must be >= 1"
-  | _ -> ());
-  { Validator.k = t.Deployment.k;
-    timeout = t.Deployment.timeout;
-    adaptive_timeout = t.Deployment.adaptive_timeout;
-    min_timeout;
-    state_aware = t.Deployment.state_aware;
-    nondet_rule = t.Deployment.nondet_rule;
-    policies = t.Deployment.policies;
-    master_lookup;
-    term_lookup;
-    ack_peers_of;
-    retransmit = t.Deployment.retransmit;
-    degraded_quorum = t.Deployment.degraded_quorum;
-    max_inflight = t.Deployment.max_inflight }
-
-let install cluster t = Deployment.install cluster (deployment t)
-
-let k (t : t) = t.Deployment.k
-let timeout (t : t) = t.Deployment.timeout
-let max_inflight (t : t) = t.Deployment.max_inflight
-let batch_window (t : t) = t.Deployment.batch_window
-let channel (t : t) = t.Deployment.channel
-let pipeline_jobs (t : t) = t.Deployment.pipeline_jobs
-let election_of (t : t) = t.Deployment.election

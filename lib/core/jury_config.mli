@@ -1,20 +1,73 @@
-(** The one front door for configuring a JURY deployment.
+(** The one JURY configuration: the knobs the paper's validator is
+    tuned by (replication factor k, validation timeout θτ, the
+    consensus rules, the policy set) plus this reproduction's
+    extensions (lossy channels, retransmission, degraded quorum, the
+    bounded/batched/pipelined validator, dynamic election).
 
-    [Jury_config.make] is a validated builder covering every knob that
-    used to be scattered across [Validator.config] record literals,
-    [Channel] profile parameters and [Validator.retransmit]:
-    replication factor, timeouts, consensus ablations, policies,
-    channel loss model, retransmission, degraded quorum, and the
-    bounded/batched validator ([max_inflight], [batch]). The old record types remain public as the
-    internal representation (and for record-literal construction in
-    equivalence tests); their smart constructors are deprecated in
-    favour of this module.
+    The record is [private]: {!make} is its only constructor and
+    validates every field, so {!Validator.create}, {!Stage.attach} and
+    {!Deployment.install} can read it without re-checking. Runtime
+    wiring that is not configuration (master and term lookups, the
+    ack peer set) is passed to {!Validator.create} separately.
 
-    A [Jury_config.make ()] with no arguments reproduces the seed
-    deployment (k = 2) byte-for-byte. *)
+    [make ()] with no arguments reproduces the seed deployment (k = 2)
+    byte-for-byte. *)
 
-type t
-(** An immutable, validated configuration. *)
+type retransmit = private {
+  fraction : float;
+      (** first retry fires after [fraction]·θτ; in (0, 1] *)
+  backoff : float;  (** multiplier between retries; >= 1 *)
+  max_retries : int;  (** retry cap per straggling secondary *)
+}
+
+type t = private {
+  k : int;  (** replication factor *)
+  timeout : Jury_sim.Time.t;
+      (** validation timeout θτ (the maximum, when adaptive) *)
+  adaptive_timeout : bool;
+      (** size θτ from recent completion latencies, RTO-style — the
+          §VIII-1 extension the paper leaves to future work *)
+  state_aware : bool;
+      (** restrict consensus to equal-snapshot replicas; [false] gives
+          the naive-majority ablation *)
+  nondet_rule : bool;  (** all-distinct ⇒ non-faulty; [false] for ablation *)
+  random_secondaries : bool;
+      (** sample k fresh secondaries per trigger (paper default) vs the
+          primary's static peer set (ablation) *)
+  deterministic_latencies : bool;
+      (** pin the replication and response-collection links to their
+          base latencies (no jitter draws) *)
+  policies : Jury_policy.Engine.t;
+  encapsulation : bool;  (** ODL-style OVS replication *)
+  channel : Channel.profile;
+      (** loss model applied to every replication and
+          response-collection link; {!Channel.reliable} reproduces the
+          seed bit-for-bit *)
+  retransmit : retransmit option;
+      (** re-replicate to straggling secondaries (bounded, with
+          exponential backoff); [None] = no retransmission *)
+  degraded_quorum : int option;
+      (** when set, a timed-out external trigger whose arrived
+          equivalent-view responses all agree — and number at least
+          this quorum — is decided [Ok_degraded] instead of raising a
+          response-timeout alarm; [None] = seed behaviour *)
+  max_inflight : int option;
+      (** high-water mark on in-flight (undecided) triggers; past it
+          the oldest epoch is force-expired with {!Alarm.Overload}
+          verdicts. [None] = unbounded (seed behaviour) *)
+  batch_window : Jury_sim.Time.t option;
+      (** when set, responses coming off the out-of-band links are
+          accumulated for this long and handed to the validator as one
+          batch; [None] = one {!Validator.deliver} per response *)
+  pipeline_jobs : int;
+      (** > 1 runs validation as a staged pipeline ({!Stage}) on one
+          consumer domain; 1 = the serial (oracle) path *)
+  election : Jury_controller.Cluster.election_config option;
+      (** when set, {!Deployment.install} starts the cluster's
+          deterministic master election and re-attributes in-flight
+          triggers of a crashed master to its successor; [None] = no
+          election timer, no listener *)
+}
 
 val make :
   ?k:int ->
@@ -25,11 +78,10 @@ val make :
   ?random_secondaries:bool ->
   ?policies:Jury_policy.Engine.t ->
   ?encapsulation:bool ->
-  ?channel:Channel.profile ->
   ?drop:float ->
   ?duplicate:float ->
   ?jitter_us:float ->
-  ?retransmit:Validator.retransmit ->
+  ?retransmit:retransmit ->
   ?degraded_quorum:int ->
   ?max_inflight:int ->
   ?batch:Jury_sim.Time.t ->
@@ -41,12 +93,14 @@ val make :
     [encapsulation]), fixed timeout, state-aware consensus and the
     non-determinism rule on, random secondaries, no policies, reliable
     channel, no retransmission, no degraded quorum, unbounded
-    in-flight state, per-event ingestion.
+    in-flight state, per-event ingestion, no election.
 
-    The channel may be given either as a prebuilt [?channel] profile or
-    inline via [?drop]/[?duplicate]/[?jitter_us] (validated through
-    {!Channel.lossy}); passing both is an error. Raises
-    [Invalid_argument] on any out-of-range value.
+    The channel is given by [?drop]/[?duplicate]/[?jitter_us]
+    (validated through {!Channel.lossy}; all zero is {!Channel.reliable}).
+    Raises [Invalid_argument] on any out-of-range value: negative [k],
+    [degraded_quorum < 1], [max_inflight < 1], a non-positive [batch]
+    window, [pipeline_jobs < 1], or an [election] with a non-positive
+    period or [timeout_beats < 1].
 
     A [?policies] rule set is compiled here, once, into the
     {!Jury_policy.Compiled} decision structure the validator consults
@@ -64,73 +118,13 @@ val make :
     [pipeline_jobs] (default 1) > 1 runs validation as a staged
     pipeline over the domain pool (see {!Stage} and DESIGN.md
     "Staged validation pipeline"): raises [Invalid_argument] when
-    combined with [retransmit], [adaptive_timeout], [max_inflight] or
-    a non-empty [policies] set; defaults [batch] to 200 µs when unset
-    and requires it below the timeout. [pipeline_jobs:1] is the serial
-    oracle path, byte-identical to the seed.
-
-    [election] (default [None]) enables dynamic master election and
-    mid-run failover re-attribution — see the [election] field of
-    {!Deployment.config} and {!election}. Rejected with
-    [pipeline_jobs > 1]. *)
+    combined with [retransmit], [adaptive_timeout], [max_inflight],
+    [election] or a non-empty [policies] set; defaults [batch] to
+    200 µs when unset and requires it below the timeout.
+    [pipeline_jobs:1] is the serial oracle path, byte-identical to the
+    seed. *)
 
 val retransmit :
-  ?fraction:float -> ?backoff:float -> ?max_retries:int -> unit ->
-  Validator.retransmit
+  ?fraction:float -> ?backoff:float -> ?max_retries:int -> unit -> retransmit
 (** Validated retransmission policy (defaults: first retry at 0.4·θτ,
-    backoff 2.0, 2 rounds) — the facade's replacement for the
-    deprecated [Validator.retransmit]. *)
-
-val lossy_channel :
-  ?drop:float -> ?duplicate:float -> ?jitter_us:float -> unit ->
-  Channel.profile
-(** Re-export of {!Channel.lossy} so callers can build a profile
-    without leaving the facade. *)
-
-val election :
-  ?period:Jury_sim.Time.t -> ?timeout_beats:int -> unit ->
-  Jury_controller.Cluster.election_config
-(** Validated election tuning (defaults: 100 ms beat period, 3 missed
-    beats to declare a node dead). Raises [Invalid_argument] on a
-    non-positive period or [timeout_beats < 1]. *)
-
-val deployment : t -> Deployment.config
-(** The deployment record this configuration denotes — what
-    {!Deployment.install} consumes. *)
-
-val validator :
-  ?min_timeout:Jury_sim.Time.t ->
-  ?master_lookup:(Jury_openflow.Of_types.Dpid.t -> int option) ->
-  ?term_lookup:(unit -> int) ->
-  ?ack_peers_of:(int -> int list) ->
-  t -> Validator.config
-(** A bare validator configuration carrying this facade's knobs, for
-    driving a {!Validator.t} without a deployment (tests, offline
-    replay). The closures default like the historical
-    [Validator.config] smart constructor. *)
-
-val install : Jury_controller.Cluster.t -> t -> Deployment.t
-(** [install cluster t] = [Deployment.install cluster (deployment t)]. *)
-
-(** {1 Accessors} *)
-
-val k : t -> int
-(** Replication factor. *)
-
-val timeout : t -> Jury_sim.Time.t
-(** Validation timeout θτ (after adaptive/encapsulation adjustments). *)
-
-val max_inflight : t -> int option
-(** In-flight trigger bound, [None] = unbounded. *)
-
-val batch_window : t -> Jury_sim.Time.t option
-(** Response batching window, [None] = per-event ingestion. *)
-
-val channel : t -> Channel.profile
-(** Out-of-band channel profile the deployment will use. *)
-
-val pipeline_jobs : t -> int
-(** Intra-run pipeline parallelism (1 = serial oracle path). *)
-
-val election_of : t -> Jury_controller.Cluster.election_config option
-(** Election tuning, [None] when leadership is static. *)
+    backoff 2.0, 2 rounds). *)

@@ -15,13 +15,14 @@
    the facade, which from then on answers result queries as if it had
    done the work itself.
 
-   Correctness leans on the eligibility gate in {!Deployment.install}:
-   no retransmissions, no adaptive timeout, no inflight cap, no policy
-   rules, no election and no trace. Under those gates the replica
-   never calls back into main-domain state (the policy engine's
-   [master_lookup] is the one cross-domain read, and
-   {!Validator.run_policy} short-circuits it when no rules are
-   installed) and never feeds anything back into the channel. *)
+   Correctness leans on the feature exclusions in {!Jury_config.make}
+   (no retransmissions, no adaptive timeout, no inflight cap, no policy
+   rules, no election) and on {!Deployment.install} keeping traced runs
+   serial. Under those gates the replica never calls back into
+   main-domain state (the policy engine's [master_lookup] is the one
+   cross-domain read, and {!Validator.run_policy} short-circuits it
+   when no rules are installed) and never feeds anything back into the
+   channel. *)
 
 open Jury_sim
 module Pool = Jury_par.Pool
@@ -81,13 +82,13 @@ let consume engine replica queue () =
   in
   loop ()
 
-let attach ?(queue_capacity = 1024) ~pool cfg facade =
-  let queue = Spsc.create ~capacity:queue_capacity in
+let attach ~pool facade =
+  let queue = Spsc.create ~capacity:1024 in
   (* The replica engine replays facade timestamps; it draws no
      randomness (the validator is RNG-free), so the seed is
      irrelevant. *)
   let engine = Engine.create () in
-  let replica = Validator.create engine cfg in
+  let replica = Validator.pipeline_replica facade engine in
   let ticket = Pool.async pool (consume engine replica queue) in
   let pl_register ~taint ~at ~primary ~secondaries =
     Spsc.push queue (Register { taint; at; primary; secondaries })

@@ -15,21 +15,16 @@
 
     The ring applies back-pressure: a full ring makes the producer (the
     simulation) spin until the consumer catches up, bounding memory by
-    [queue_capacity] items.
+    1024 items.
 
-    Only {!Deployment.install} should call this, and only behind its
-    eligibility gate (no retransmit, adaptive timeout, inflight cap,
-    policy rules, election or trace) — see the implementation notes in
-    [stage.ml] for why each gate is load-bearing. *)
+    Attach only validators whose configuration {!Jury_config.make}
+    accepted with [pipeline_jobs > 1] (which excludes retransmit,
+    adaptive timeout, inflight cap, policy rules and election), and
+    never on a traced engine — see the implementation notes in
+    [stage.ml] for why each exclusion is load-bearing. *)
 
-val attach :
-  ?queue_capacity:int ->
-  pool:Jury_par.Pool.t ->
-  Validator.config ->
-  Validator.t ->
-  unit
-(** [attach ~pool cfg facade] installs pipeline hooks on [facade],
-    whose replica is built from [cfg] (the same validated config the
-    facade was created with) and whose consumer runs as a
-    {!Jury_par.Pool.async} task on [pool]. [queue_capacity] (default
-    1024) is rounded up to a power of two. *)
+val attach : pool:Jury_par.Pool.t -> Validator.t -> unit
+(** [attach ~pool facade] installs pipeline hooks on [facade]. The
+    replica is built from the facade's configuration and wiring
+    ({!Validator.pipeline_replica}); the consumer runs as a
+    {!Jury_par.Pool.async} task on [pool]. *)

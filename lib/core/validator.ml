@@ -8,12 +8,6 @@ module Of_match = Jury_openflow.Of_match
 module Of_action = Jury_openflow.Of_action
 module Dpid = Jury_openflow.Of_types.Dpid
 
-type retransmit = {
-  fraction : float;
-  backoff : float;
-  max_retries : int;
-}
-
 (* Process-wide verdict tally across every validator on every domain —
    the bench's per-experiment verdict counts come from deltas of this.
    Verdicts are orders of magnitude rarer than simulation events, so a
@@ -29,21 +23,8 @@ let total_batches () = Atomic.get global_batches
 let global_overloads = Atomic.make 0
 let total_overloads () = Atomic.get global_overloads
 
-type config = {
-  k : int;
-  timeout : Time.t;
-  adaptive_timeout : bool;
-  min_timeout : Time.t;
-  state_aware : bool;
-  nondet_rule : bool;
-  policies : Jury_policy.Engine.t;
-  master_lookup : Dpid.t -> int option;
-  term_lookup : unit -> int;
-  ack_peers_of : int -> int list;
-  retransmit : retransmit option;
-  degraded_quorum : int option;
-  max_inflight : int option;
-}
+(* Floor of the adaptive validation timeout. *)
+let min_timeout = Time.ms 10
 
 type pending = {
   taint : Types.Taint.t;
@@ -72,7 +53,12 @@ type pipeline_hooks = {
 
 type t = {
   engine : Engine.t;
-  cfg : config;
+  cfg : Jury_config.t;
+  (* Runtime wiring, fixed at creation (see [create]). *)
+  master_lookup : Dpid.t -> int option;
+  term_lookup : unit -> int;
+  ack_peers_of : int -> int list;
+  state_aware : bool;
   pending : (string, pending) Hashtbl.t;
   epochs : (int, string list ref) Hashtbl.t;
       (* epoch -> keys registered in it, newest first. Decided keys stay
@@ -98,8 +84,6 @@ type t = {
   mutable n_stragglers : int;
   mutable n_batches : int;
   mutable n_batch_responses : int;
-  mutable alarm_handler : Alarm.t -> unit;
-  mutable verdict_handler : Alarm.t -> unit;
   mutable response_observers : (Response.t -> unit) list;
       (* newest first; reversed at dispatch so observers run in
          registration order without quadratic appends *)
@@ -114,9 +98,15 @@ type t = {
   mutable pipeline : pipeline_hooks option;
 }
 
-let create engine cfg =
+let create ?(master_lookup = fun _ -> None) ?(term_lookup = fun () -> 0)
+    ?(ack_peers_of = fun _ -> []) ?(state_blind = false) engine
+    (cfg : Jury_config.t) =
   { engine;
     cfg;
+    master_lookup;
+    term_lookup;
+    ack_peers_of;
+    state_aware = cfg.state_aware && not state_blind;
     pending = Hashtbl.create 256;
     epochs = Hashtbl.create 16;
     flow_mirror = Hashtbl.create 256;
@@ -141,8 +131,6 @@ let create engine cfg =
     n_stragglers = 0;
     n_batches = 0;
     n_batch_responses = 0;
-    alarm_handler = (fun _ -> ());
-    verdict_handler = (fun _ -> ());
     response_observers = [];
     verdict_observers = [];
     retransmit_handler = (fun _ ~secondary:_ -> ());
@@ -156,7 +144,7 @@ let current_timeout t =
     (* Wider than TCP's classic 4x: completion latencies are heavy-
        tailed (lognormal), so the estimator keeps extra headroom. *)
     let rto = t.srtt_ms +. (8. *. t.rttvar_ms) in
-    Time.max t.cfg.min_timeout
+    Time.max min_timeout
       (Time.min t.cfg.timeout (Time.of_float_ms rto))
   end
   else t.cfg.timeout
@@ -173,8 +161,6 @@ let observe_completion_latency t latency =
   end;
   t.rtt_samples <- t.rtt_samples + 1
 
-let set_alarm_handler t f = t.alarm_handler <- f
-let set_verdict_handler t f = t.verdict_handler <- f
 let set_retransmit_handler t f = t.retransmit_handler <- f
 let on_response t f = t.response_observers <- f :: t.response_observers
 let on_verdict t f = t.verdict_observers <- f :: t.verdict_observers
@@ -299,7 +285,7 @@ let complete t p =
       List.length (secondary_executions p) >= List.length p.secondaries
       && (let writes = cache_writes actions in
           let events = distinct_cache_events p in
-          let peers = List.length (t.cfg.ack_peers_of primary) in
+          let peers = List.length (t.ack_peers_of primary) in
           List.for_all
             (fun (cache, _, key, _) ->
               match
@@ -390,7 +376,7 @@ let run_consensus t p (prim_r : Response.t) prim_actions =
   else begin
     let prim_fp = response_fingerprint prim_actions in
     let comparable =
-      if t.cfg.state_aware then
+      if t.state_aware then
         List.filter
           (fun ((r : Response.t), _) ->
             Snapshot.equal r.snapshot prim_r.Response.snapshot)
@@ -442,7 +428,7 @@ let secondary_quorum t p =
   | [] -> None
   | secs ->
       let groups =
-        if t.cfg.state_aware then
+        if t.state_aware then
           List.fold_left
             (fun acc ((r : Response.t), actions) ->
               let rec place = function
@@ -628,7 +614,7 @@ let run_policy t p ~origin ~external_ actions =
               if cache = Names.normalize Names.flowsdb then
                 match Values.Flow.dpid_of_key key with
                 | Some dpid ->
-                    if t.cfg.master_lookup dpid = Some origin then `Local
+                    if t.master_lookup dpid = Some origin then `Local
                     else `Remote
                 | None -> `Local
               else `Local
@@ -706,16 +692,13 @@ let finish t p (verdict : Alarm.verdict) ~suspects ~detail =
   t.n_decided <- t.n_decided + 1;
   ignore (Atomic.fetch_and_add global_decided 1);
   (match verdict with
-  | Alarm.Faulty _ ->
-      t.n_faults <- t.n_faults + 1;
-      t.alarm_handler alarm
+  | Alarm.Faulty _ -> t.n_faults <- t.n_faults + 1
   | Alarm.Ok_unverifiable -> t.n_unverifiable <- t.n_unverifiable + 1
   | Alarm.Ok_degraded -> t.n_degraded <- t.n_degraded + 1
   | Alarm.Overload ->
       t.n_overloads <- t.n_overloads + 1;
       ignore (Atomic.fetch_and_add global_overloads 1)
   | Alarm.Ok_valid | Alarm.Ok_non_deterministic -> ());
-  t.verdict_handler alarm;
   List.iter (fun f -> f alarm) (List.rev t.verdict_observers)
 
 let evaluate t p ~timed_out =
@@ -925,7 +908,7 @@ let arm_timer t p =
 
 (* --- Bounded retransmission with exponential backoff --- *)
 
-let retry_delay t (rt : retransmit) round =
+let retry_delay t (rt : Jury_config.retransmit) round =
   let theta = Time.to_float_ms (current_timeout t) in
   Time.of_float_ms (theta *. rt.fraction *. (rt.backoff ** float_of_int round))
 
@@ -936,7 +919,7 @@ let rec arm_retry t p rt =
          ~after:(retry_delay t rt p.retry_round)
          (fun () -> fire_retry t p rt))
 
-and fire_retry t p (rt : retransmit) =
+and fire_retry t p (rt : Jury_config.retransmit) =
   p.retry_timer <- None;
   if not p.decided then begin
     match stragglers p with
@@ -1043,7 +1026,7 @@ let get_pending t taint =
         note_registration t key;
         let p =
           new_pending ~taint ~trigger_at:(Engine.now t.engine) ~primary:None
-            ~term:(t.cfg.term_lookup ()) ~secondaries:[]
+            ~term:(t.term_lookup ()) ~secondaries:[]
         in
         Hashtbl.add t.pending key p;
         Some p
@@ -1058,7 +1041,7 @@ let register_external t ~taint ~at ~primary ~secondaries =
     note_registration t key;
     let p =
       new_pending ~taint ~trigger_at:at ~primary:(Some primary)
-        ~term:(t.cfg.term_lookup ()) ~secondaries
+        ~term:(t.term_lookup ()) ~secondaries
     in
     Hashtbl.add t.pending key p;
     arm_timer t p;
@@ -1205,6 +1188,11 @@ let current_epoch t = t.epoch_now
 (* --- staged-pipeline plumbing (see Stage) --- *)
 
 let set_pipeline_hooks t h = t.pipeline <- Some h
+
+let pipeline_replica t engine =
+  create ~master_lookup:t.master_lookup ~term_lookup:t.term_lookup
+    ~ack_peers_of:t.ack_peers_of ~state_blind:(not t.state_aware) engine
+    t.cfg
 
 let drain_pipeline t =
   match t.pipeline with

@@ -20,59 +20,29 @@
 
 module Types = Jury_controller.Types
 
-type retransmit = {
-  fraction : float;
-      (** first retry fires after [fraction]·θτ; in (0, 1] *)
-  backoff : float;  (** multiplier between retries; >= 1 *)
-  max_retries : int;  (** retry cap per straggling secondary *)
-}
-
-type config = {
-  k : int;                     (** replication factor *)
-  timeout : Jury_sim.Time.t;   (** validation timeout θτ (the maximum,
-                                   when adaptive) *)
-  adaptive_timeout : bool;
-      (** size θτ from recent completion latencies, RTO-style
-          (srtt + 4·rttvar) — the §VIII-1 extension the paper leaves to
-          future work *)
-  min_timeout : Jury_sim.Time.t;
-  state_aware : bool;
-      (** restrict consensus to equal-snapshot replicas; [false] gives
-          the naive-majority ablation *)
-  nondet_rule : bool;
-      (** all-distinct ⇒ non-faulty; [false] for ablation *)
-  policies : Jury_policy.Engine.t;
-  master_lookup : Jury_openflow.Of_types.Dpid.t -> int option;
-      (** for the policy engine's local/remote destination attribute *)
-  term_lookup : unit -> int;
-      (** current leadership term, stamped into each pending trigger at
-          registration (and onto its alarm); [fun () -> 0] when
-          election is disabled *)
-  ack_peers_of : int -> int list;
-      (** the static peers whose cache-event acks the validator expects
-          for writes originating at a given node *)
-  retransmit : retransmit option;
-      (** when set, a secondary that has not responded by
-          [fraction]·θτ gets the trigger re-replicated (via
-          {!set_retransmit_handler}), with exponential backoff up to
-          [max_retries] rounds; [None] = seed behaviour *)
-  degraded_quorum : int option;
-      (** when set, a timed-out external trigger whose arrived
-          equivalent-view responses all agree — and number at least
-          this quorum — is decided [Ok_degraded] instead of raising a
-          response-timeout alarm; [None] = seed behaviour *)
-  max_inflight : int option;
-      (** high-water mark on in-flight (undecided) triggers; when
-          registration would exceed it the oldest epoch is force-expired
-          with {!Alarm.Overload} verdicts instead of growing without
-          bound. [None] = unbounded (seed behaviour) *)
-}
-
 type t
 
-val create : Jury_sim.Engine.t -> config -> t
+val create :
+  ?master_lookup:(Jury_openflow.Of_types.Dpid.t -> int option) ->
+  ?term_lookup:(unit -> int) ->
+  ?ack_peers_of:(int -> int list) ->
+  ?state_blind:bool ->
+  Jury_sim.Engine.t -> Jury_config.t -> t
 (** A fresh validator with all counters at zero; timers are scheduled
-    on the given engine. *)
+    on the given engine. The optional arguments wire it to a running
+    cluster:
+    - [master_lookup] gives the policy engine's local/remote
+      destination attribute (default: no master known);
+    - [term_lookup] gives the current leadership term, stamped into
+      each pending trigger at registration and onto its alarm
+      (default [fun () -> 0]);
+    - [ack_peers_of] gives the static peers whose cache-event acks the
+      validator expects for writes originating at a given node
+      (default: none);
+    - [state_blind] (default false) turns state-aware consensus off
+      whatever the config says: standalone instances never share
+      state, so their snapshots never match and the cross-instance
+      response vote must carry the verdict. *)
 
 val register_external :
   t -> taint:Types.Taint.t -> at:Jury_sim.Time.t -> primary:int ->
@@ -100,23 +70,18 @@ val deliver_batch : t -> Response.t list -> unit
     batch. [deliver_batch t [r]] and [deliver t r] drive identical
     verdict-state transitions. *)
 
-val set_alarm_handler : t -> (Alarm.t -> unit) -> unit
-(** Called for every {e faulty} verdict, at decision time. *)
-
-val set_verdict_handler : t -> (Alarm.t -> unit) -> unit
-(** Called for every verdict, faulty or not. *)
-
 val set_retransmit_handler : t -> (Types.Taint.t -> secondary:int -> unit) -> unit
-(** Called once per straggling secondary per retry round when
-    [config.retransmit] is set; the deployment re-replicates the stored
-    trigger over its (lossy) channel. Default: no-op. *)
+(** Called once per straggling secondary per retry round when the
+    config's [retransmit] is set; the deployment re-replicates the
+    stored trigger over its (lossy) channel. Default: no-op. *)
 
 val on_response : t -> (Response.t -> unit) -> unit
 (** Append an observer invoked for every delivered response (audit
     trail, metrics); observers never affect validation. *)
 
 val on_verdict : t -> (Alarm.t -> unit) -> unit
-(** Append a verdict observer (in addition to the handlers above). *)
+(** Append an observer invoked for every verdict, faulty or not, at
+    decision time ({!Alarm.is_fault} picks out the alarms). *)
 
 (** {1 Results} *)
 
@@ -214,14 +179,18 @@ type pipeline_hooks = {
 
 val set_pipeline_hooks : t -> pipeline_hooks -> unit
 (** Divert ingestion into the hooks. While they are installed the
-    alarm/verdict handlers and response observers of this validator do
-    {e not} fire (replica verdicts surface only through the merged
-    result accessors) — deployments gate the pipeline on
-    configurations that install none.
+    verdict and response observers of this validator do {e not} fire
+    (replica verdicts surface only through the merged result
+    accessors) — the pipeline excludes the configurations that
+    install any (retransmit, election).
 
     {!drain_pipeline} (or {!flush}, which starts with it) clears the
     hooks so the facade's own state, once merged, is read out through
     the normal accessors. *)
+
+val pipeline_replica : t -> Jury_sim.Engine.t -> t
+(** A fresh validator on [engine] with [t]'s configuration and wiring:
+    the replica a {!Stage} consumer validates on. *)
 
 val drain_pipeline : t -> unit
 (** End-of-run barrier for a pipelined validator: stop the consumer

@@ -620,12 +620,14 @@ let lossy_channel ?pool ?(seed = 58) ?(duration = Time.sec 5) ?(rate = 3000.)
      response-timeout / unverifiable verdicts a lossy channel induces;
      "lossy+retx" adds bounded retransmission and degraded-quorum
      decisions, which should claw most of them back. *)
-  let run ~mode ~channel ~retransmit ~degraded_quorum =
+  let run ~mode ~(channel : Jury.Channel.profile) ~retransmit
+      ~degraded_quorum =
     let env =
       Setup.make ~seed
         ~jury:
-          (Jury.Jury_config.make ~k:2 ~channel ?retransmit ?degraded_quorum
-             ())
+          (Jury.Jury_config.make ~k:2 ~drop:channel.drop
+             ~duplicate:channel.duplicate ~jitter_us:channel.jitter_us
+             ?retransmit ?degraded_quorum ())
         ~profile:Profile.onos ~nodes:7 ()
     in
     let t0 = Engine.now env.Setup.engine in

@@ -38,15 +38,11 @@ type row = {
 let run_point ?(seed = 11) ?(nodes = 5) ?(k = 2) ~profile ~duration ~jobs
     () =
   let engine = Engine.create ~seed () in
-  let vcfg =
-    Jury.Jury_config.validator
-      ~ack_peers_of:(fun _ -> [])
-      (Jury.Jury_config.make ~k ~timeout:(Time.ms 50)
-         ~batch:(Time.us 200) ())
+  let v =
+    Validator.create engine
+      (Jury.Jury_config.make ~k ~timeout:(Time.ms 50) ~batch:(Time.us 200) ())
   in
-  let v = Validator.create engine vcfg in
-  if jobs > 1 then
-    Jury.Stage.attach ~pool:(Jury_par.Pool.default ()) vcfg v;
+  if jobs > 1 then Jury.Stage.attach ~pool:(Jury_par.Pool.default ()) v;
   let rng = Rng.create (seed lxor 0xf14e_05e) in
   let stream = Firehose.stream ~rng ~start:(Engine.now engine) profile in
   let stop = Time.add (Engine.now engine) duration in

@@ -23,7 +23,7 @@ let make ?(seed = 42) ?(switches = 24) ?(hosts_per_switch = 1) ?plan ?jury
   in
   let network = Network.create engine plan () in
   let cluster = Cluster.create engine ~profile ~nodes ~network () in
-  let deployment = Option.map (Jury.Jury_config.install cluster) jury in
+  let deployment = Option.map (Jury.Deployment.install cluster) jury in
   Cluster.converge cluster;
   List.iter Host.join (Network.hosts network);
   Engine.run engine ~until:(Time.add (Engine.now engine) (Time.sec 1));

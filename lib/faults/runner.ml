@@ -22,8 +22,7 @@ type env = {
 
 let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
     ?(extra_slow = []) ?(switches = 24) ?(random_secondaries = true) ?trace
-    ?channel ?retransmit ?degraded_quorum ?max_inflight ?batch
-    ?pipeline_jobs (scenario : Scenarios.t) =
+    ?max_inflight ?batch ?pipeline_jobs (scenario : Scenarios.t) =
   let engine = Engine.create ~seed () in
   Option.iter (Engine.set_trace engine) trace;
   let plan = Builder.linear ~switches ~hosts_per_switch:1 in
@@ -36,10 +35,9 @@ let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
       ()
   in
   let deployment =
-    Jury.Jury_config.install cluster
-      (Scenarios.jury_config scenario ~k ~random_secondaries ?channel
-         ?retransmit ?degraded_quorum ?max_inflight ?batch
-         ?pipeline_jobs ())
+    Jury.Deployment.install cluster
+      (Scenarios.jury_config scenario ~k ~random_secondaries ?max_inflight
+         ?batch ?pipeline_jobs ())
   in
   let ctx =
     { Scenarios.cluster;
@@ -88,12 +86,11 @@ let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
   (report, { cluster; network; deployment; faulty })
 
 let run ?seed ?nodes ?k ?faulty ?extra_slow ?switches ?random_secondaries
-    ?trace ?channel ?retransmit ?degraded_quorum ?max_inflight ?batch
-    ?pipeline_jobs scenario =
+    ?trace ?max_inflight ?batch ?pipeline_jobs scenario =
   fst
     (run_env ?seed ?nodes ?k ?faulty ?extra_slow ?switches
-       ?random_secondaries ?trace ?channel ?retransmit ?degraded_quorum
-       ?max_inflight ?batch ?pipeline_jobs scenario)
+       ?random_secondaries ?trace ?max_inflight ?batch ?pipeline_jobs
+       scenario)
 
 let run_matrix ?pool ?(seed = 11) ?(repeats = 1) ?(seed_stride = 13) ?nodes
     ?k ?faulty ?extra_slow ?switches ?random_secondaries scenarios =

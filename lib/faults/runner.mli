@@ -27,9 +27,6 @@ val run :
   ?extra_slow:int list ->
   ?switches:int -> ?random_secondaries:bool ->
   ?trace:Jury_obs.Trace.t ->
-  ?channel:Jury.Channel.profile ->
-  ?retransmit:Jury.Validator.retransmit ->
-  ?degraded_quorum:int ->
   ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
   ?pipeline_jobs:int ->
   Scenarios.t -> report
@@ -37,10 +34,9 @@ val run :
     (k = 6), faulty replica 2, a linear 24-switch topology. [extra_slow]
     marks additional replicas as timing-faulty (the m = 2 setting).
     [trace], when given, is attached to the engine before anything is
-    scheduled, so it observes the full run. [channel] overrides the
-    scenario's loss model; [retransmit], [degraded_quorum],
-    [max_inflight], [batch] and [pipeline_jobs] pass through to
-    {!Jury.Jury_config.make} via {!Scenarios.jury_config}. *)
+    scheduled, so it observes the full run. [max_inflight], [batch]
+    and [pipeline_jobs] pass through to {!Jury.Jury_config.make} via
+    {!Scenarios.jury_config}. *)
 
 val run_matrix :
   ?pool:Jury_par.Pool.t -> ?seed:int -> ?repeats:int -> ?seed_stride:int ->
@@ -59,9 +55,6 @@ val run_env :
   ?seed:int -> ?nodes:int -> ?k:int -> ?faulty:int ->
   ?extra_slow:int list -> ?switches:int -> ?random_secondaries:bool ->
   ?trace:Jury_obs.Trace.t ->
-  ?channel:Jury.Channel.profile ->
-  ?retransmit:Jury.Validator.retransmit ->
-  ?degraded_quorum:int ->
   ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
   ?pipeline_jobs:int ->
   Scenarios.t -> report * env

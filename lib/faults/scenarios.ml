@@ -653,7 +653,9 @@ let policy_churn =
     arm_before_start = false;
     arm =
       (fun ctx ->
-        let policies = (Jury.Deployment.cfg ctx.deployment).Jury.Deployment.policies in
+        let policies =
+          (Jury.Deployment.cfg ctx.deployment).Jury.Jury_config.policies
+        in
         match Jury_policy.Parse.dsl_line churn_policy with
         | Ok rule -> Jury_policy.Engine.add_rule policies rule
         | Error msg -> failwith ("policy-churn: " ^ msg));
@@ -819,9 +821,8 @@ let names = List.map (fun s -> s.name) all
 
 (* --- JURY configuration for a scenario --- *)
 
-let jury_config (t : t) ?(k = 6) ?(random_secondaries = true) ?channel
-    ?retransmit ?degraded_quorum ?max_inflight ?batch ?pipeline_jobs
-    () =
+let jury_config (t : t) ?(k = 6) ?(random_secondaries = true) ?max_inflight
+    ?batch ?pipeline_jobs () =
   let policies =
     match t.policy with
     | None -> Jury_policy.Engine.create []
@@ -834,7 +835,7 @@ let jury_config (t : t) ?(k = 6) ?(random_secondaries = true) ?channel
      the ODL-style profiles wrap updates in an encapsulation layer JURY
      must strip (§IV-B) — keyed on the profile's decapsulation cost. *)
   let encapsulation = t.profile.Profile.decapsulation_cost_median_us > 0. in
-  let channel = match channel with Some c -> c | None -> t.channel in
+  let { Jury.Channel.drop; duplicate; jitter_us } = t.channel in
   (* A scenario that ships policy rules or runs an election cannot
      pipeline (T3 checks and live term lookups are excluded from the
      staged path); keep such runs serial instead of rejecting a whole
@@ -843,5 +844,5 @@ let jury_config (t : t) ?(k = 6) ?(random_secondaries = true) ?channel
     if t.policy = None && t.election = None then pipeline_jobs else None
   in
   Jury.Jury_config.make ~k ~random_secondaries ~policies ~encapsulation
-    ~state_aware:t.state_aware ~channel ?retransmit ?degraded_quorum
-    ?max_inflight ?batch ?pipeline_jobs ?election:t.election ()
+    ~state_aware:t.state_aware ~drop ~duplicate ~jitter_us ?max_inflight
+    ?batch ?pipeline_jobs ?election:t.election ()

@@ -42,7 +42,7 @@ type t = {
   election : Cluster.election_config option;
       (** when set, the deployment enables dynamic master election and
           failover re-attribution with this tuning (the [election]
-          field of {!Jury.Deployment.config}); [None] — every
+          field of {!Jury.Jury_config.t}); [None] — every
           pre-leadership catalog scenario — keeps static mastership *)
   expected : Jury.Alarm.fault -> bool;
   expected_name : string;
@@ -106,16 +106,13 @@ val ryu_standalone_hang : t
 val jury_config :
   t ->
   ?k:int -> ?random_secondaries:bool ->
-  ?channel:Jury.Channel.profile ->
-  ?retransmit:Jury.Validator.retransmit ->
-  ?degraded_quorum:int ->
   ?max_inflight:int -> ?batch:Jury_sim.Time.t ->
   ?pipeline_jobs:int ->
   unit -> Jury.Jury_config.t
 (** The {!Jury.Jury_config.t} a scenario calls for: its policy DSL
     compiled, encapsulation chosen from the controller profile, and the
-    scenario's channel loss model (overridable with [?channel]).
-    Defaults to the paper's worst case, k = 6. The remaining knobs pass
+    scenario's channel loss model. Defaults to the paper's worst case,
+    k = 6. The remaining knobs pass
     straight through to {!Jury.Jury_config.make} (along with the
     scenario's [election] tuning), except that [pipeline_jobs] is
     dropped (serial path) for scenarios carrying a policy rule set or

@@ -168,12 +168,9 @@ let test_backtoback_overload_delta () =
      (full-system cases rarely hit the in-flight bound). *)
   let overload_run () =
     let engine = Jury_sim.Engine.create ~seed:9 () in
-    let cfg =
-      Jury.Jury_config.validator
-        ~ack_peers_of:(fun _ -> [])
-        (Jury.Jury_config.make ~k:2 ~max_inflight:2 ())
+    let v =
+      Validator.create engine (Jury.Jury_config.make ~k:2 ~max_inflight:2 ())
     in
-    let v = Validator.create engine cfg in
     for serial = 0 to 9 do
       Validator.register_external v
         ~taint:(Jury_controller.Types.Taint.external_trigger ~primary:0 ~serial)

@@ -1,9 +1,8 @@
-(* Tests for the Jury_config builder facade and the bounded/batched/
-   pipelined validator state behind it: facade defaults must reproduce
-   the literal seed record byte-for-byte, the staged pipeline must not
-   change verdicts, max_inflight must shed load as Overload
-   verdicts, and the process-wide counters must support per-run
-   deltas. *)
+(* Tests for the Jury_config builder and the bounded/batched/pipelined
+   validator state behind it: make must reject every out-of-range
+   knob, the staged pipeline must not change verdicts, max_inflight
+   must shed load as Overload verdicts, and the process-wide counters
+   must support per-run deltas. *)
 
 open Jury_sim
 module Types = Jury_controller.Types
@@ -41,45 +40,6 @@ let drive deployment_of =
     Array.to_list (Validator.detection_times_ms v),
     v )
 
-(* The seed deployment as a literal record — every default spelled out.
-   Must stay in sync with what [Jury_config.make ()] builds; the test
-   below pins the two together. *)
-let seed_record () =
-  { Jury.Deployment.k = 2;
-    timeout = Time.ms 150;
-    adaptive_timeout = false;
-    state_aware = true;
-    nondet_rule = true;
-    random_secondaries = true;
-    policies = Jury_policy.Engine.create [];
-    validator_latency = Time.us 120;
-    validator_jitter_us = 60.;
-    replication_latency = Time.us 200;
-    replication_jitter_us = 80.;
-    chatter_cost = Time.us 13;
-    chatter_bytes = 96;
-    encapsulation = false;
-    channel = Jury.Channel.reliable;
-    retransmit = None;
-    degraded_quorum = None;
-    max_inflight = None;
-    batch_window = None;
-    pipeline_jobs = 1;
-    election = None }
-
-let test_facade_defaults_match_literal_record () =
-  let facade =
-    drive (fun cluster ->
-        Jury.Jury_config.install cluster (Jury.Jury_config.make ()))
-  in
-  let literal =
-    drive (fun cluster -> Jury.Deployment.install cluster (seed_record ()))
-  in
-  let (fd, ff, ft, _), (ld, lf, lt, _) = (facade, literal) in
-  check_int "decided" ld fd;
-  check_int "faults" lf ff;
-  Alcotest.(check (list (float 0.))) "detection times byte-for-byte" lt ft
-
 (* A batched deployment at --pipeline-jobs 2 validates on the stage's
    replica and must match the serial run verdict for verdict and
    counter for counter. Response observers fire only on the inline
@@ -92,7 +52,7 @@ let test_pipeline_matches_serial () =
     let _, _, _, v =
       drive (fun cluster ->
           let d =
-            Jury.Jury_config.install cluster
+            Jury.Deployment.install cluster
               (Jury.Jury_config.make ~batch:(Time.us 200) ~pipeline_jobs:jobs
                  ())
           in
@@ -132,12 +92,9 @@ let register v ~serial =
 
 let bare_validator ?max_inflight () =
   let engine = Engine.create () in
-  let cfg =
-    Jury.Jury_config.validator
-      ~ack_peers_of:(fun _ -> [])
-      (Jury.Jury_config.make ~k:2 ~timeout:(Time.ms 100) ?max_inflight ())
-  in
-  (engine, Validator.create engine cfg)
+  ( engine,
+    Validator.create engine
+      (Jury.Jury_config.make ~k:2 ~timeout:(Time.ms 100) ?max_inflight ()) )
 
 let test_max_inflight_sheds_as_overload () =
   let _, v = bare_validator ~max_inflight:8 () in
@@ -245,16 +202,25 @@ let test_make_validates () =
   in
   check_bool "negative k rejected" true
     (raises (fun () -> Jury.Jury_config.make ~k:(-1) ()));
-  check_bool "channel and drop together rejected" true
-    (raises (fun () ->
-         Jury.Jury_config.make ~channel:Jury.Channel.reliable ~drop:0.1 ()));
+  check_bool "out-of-range drop rejected" true
+    (raises (fun () -> Jury.Jury_config.make ~drop:1.5 ()));
   check_bool "zero max_inflight rejected" true
-    (raises (fun () -> Jury.Jury_config.make ~max_inflight:0 ()))
+    (raises (fun () -> Jury.Jury_config.make ~max_inflight:0 ()));
+  check_bool "zero degraded_quorum rejected" true
+    (raises (fun () -> Jury.Jury_config.make ~degraded_quorum:0 ()));
+  let election period timeout_beats =
+    Jury.Jury_config.make
+      ~election:{ Jury_controller.Cluster.period; timeout_beats } ()
+  in
+  check_bool "zero election period rejected" true
+    (raises (fun () -> election Time.zero 2));
+  check_bool "zero election timeout_beats rejected" true
+    (raises (fun () -> election (Time.ms 100) 0));
+  check_bool "valid election accepted" false
+    (raises (fun () -> election (Time.ms 100) 1))
 
 let suite =
-  [ Alcotest.test_case "facade defaults = literal record" `Slow
-      test_facade_defaults_match_literal_record;
-    Alcotest.test_case "pipeline jobs=2 matches serial" `Slow
+  [ Alcotest.test_case "pipeline jobs=2 matches serial" `Slow
       test_pipeline_matches_serial;
     Alcotest.test_case "max_inflight sheds as Overload" `Quick
       test_max_inflight_sheds_as_overload;

@@ -87,14 +87,13 @@ let response_actions dpid =
 let mk_validator ?(k = 2) ?policies ?(timeout = Time.ms 100) ?retransmit
     ?degraded_quorum () =
   let engine = Engine.create () in
-  let cfg =
-    Jury.Jury_config.validator
+  ( engine,
+    Validator.create
       ~ack_peers_of:(fun o -> [ (o + 1) mod 4; (o + 2) mod 4 ])
       ~master_lookup:(fun _ -> Some 0)
+      engine
       (Jury.Jury_config.make ?policies ?retransmit ?degraded_quorum ~k
-         ~timeout ())
-  in
-  (engine, Validator.create engine cfg)
+         ~timeout ()) )
 
 let deliver v ~controller ~snapshot body =
   Validator.deliver v
@@ -227,13 +226,11 @@ let test_validator_naive_majority_false_alarm () =
   (* Same scenario with state_aware=false: the naive engine flags the
      primary — the ablation's false-positive mechanism. *)
   let engine = Engine.create () in
-  let cfg =
-    Jury.Jury_config.validator
-      ~ack_peers_of:(fun _ -> [])
+  let v =
+    Validator.create engine
       (Jury.Jury_config.make ~state_aware:false ~k:2 ~timeout:(Time.ms 100)
          ())
   in
-  let v = Validator.create engine cfg in
   let dpid = Dpid.of_int 1 in
   let good = response_actions dpid in
   let stale_snap = Snapshot.observe Snapshot.pristine (ev ()) in
@@ -444,13 +441,11 @@ let test_validator_flush () =
 
 let test_adaptive_timeout_shrinks () =
   let engine = Engine.create () in
-  let cfg =
-    Jury.Jury_config.validator
-      ~ack_peers_of:(fun _ -> [])
+  let v =
+    Validator.create engine
       (Jury.Jury_config.make ~adaptive_timeout:true ~k:0
          ~timeout:(Time.ms 500) ())
   in
-  let v = Validator.create engine cfg in
   check_bool "starts at max" true
     (Time.equal (Validator.current_timeout_value v) (Time.ms 500));
   (* Feed 30 fast, complete triggers: theta must shrink well below the
@@ -722,7 +717,7 @@ let test_deployment_benign_and_faulty () =
     Jury_controller.Cluster.create engine
       ~profile:Jury_controller.Profile.onos ~nodes:5 ~network ()
   in
-  let dep = Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ()) in
+  let dep = Jury.Deployment.install cluster (Jury.Jury_config.make ~k:2 ()) in
   let v = Jury.Deployment.validator dep in
   Jury_controller.Cluster.converge cluster;
   List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
@@ -776,7 +771,7 @@ let test_standalone_conservation () =
     Jury_controller.Cluster.create engine
       ~profile:Jury_controller.Profile.ryu ~nodes:5 ~network ()
   in
-  let dep = Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ()) in
+  let dep = Jury.Deployment.install cluster (Jury.Jury_config.make ~k:2 ()) in
   let v = Jury.Deployment.validator dep in
   Jury_controller.Cluster.converge cluster;
   List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
@@ -863,7 +858,7 @@ let zero_churn_report profile =
   let cluster =
     Jury_controller.Cluster.create engine ~profile ~nodes:5 ~network ()
   in
-  let dep = Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ()) in
+  let dep = Jury.Deployment.install cluster (Jury.Jury_config.make ~k:2 ()) in
   let v = Jury.Deployment.validator dep in
   Jury_controller.Cluster.converge cluster;
   List.iter Jury_net.Host.join (Jury_net.Network.hosts network);
@@ -899,12 +894,12 @@ let prop_validator_total =
               (pair (int_bound 3) (int_bound 5)))
     (fun deliveries ->
       let engine = Engine.create () in
-      let cfg =
-        Jury.Jury_config.validator
+      let v =
+        Validator.create
           ~ack_peers_of:(fun o -> [ (o + 1) mod 4 ])
+          engine
           (Jury.Jury_config.make ~k:2 ~timeout:(Time.ms 50) ())
       in
-      let v = Validator.create engine cfg in
       let taints =
         Array.init 6 (fun i ->
             Types.Taint.external_trigger ~primary:(i mod 4) ~serial:i)

@@ -29,7 +29,7 @@ let run_fixture ?trace () =
     Cluster.create engine ~profile:Profile.onos ~nodes:3 ~network ()
   in
   let deployment =
-    Jury.Jury_config.install cluster (Jury.Jury_config.make ~k:2 ())
+    Jury.Deployment.install cluster (Jury.Jury_config.make ~k:2 ())
   in
   Cluster.converge cluster;
   List.iter Host.join (Network.hosts network);
