@@ -647,9 +647,31 @@ let micro ~full:_ () =
   in
   let d1 = Jury_openflow.Of_types.Dpid.of_int 1 in
   let d24 = Jury_openflow.Of_types.Dpid.of_int 24 in
+  let compiled = Jury_policy.Engine.compiled policy_engine in
+  (* A k=6 trigger's seven executions: equal lists, each built afresh,
+     as the validator receives them. *)
+  let executions =
+    List.init 7 (fun _ ->
+        [ Jury_controller.Types.Cache_write
+            { cache = Jury_store.Cache_names.flowsdb;
+              op = Jury_store.Event.Create;
+              key =
+                Jury_controller.Values.Flow.key d1
+                  flow_mod.Jury_openflow.Of_message.fm_match ~priority:100;
+              value = Jury_controller.Values.Flow.value flow_mod };
+          Jury_controller.Types.Network_send
+            { dpid = d1;
+              payload = Jury_openflow.Of_message.Flow_mod flow_mod } ])
+  in
   let tests =
     [ Test.make ~name:"policy-check-1k"
-        (Staged.stage (fun () -> Jury_policy.Engine.check policy_engine query));
+        (Staged.stage (fun () -> Jury_policy.Compiled.check compiled query));
+      Test.make ~name:"flow-value-codec"
+        (Staged.stage (fun () ->
+             Jury_controller.Values.Flow.parse
+               (Jury_controller.Values.Flow.value flow_mod)));
+      Test.make ~name:"consensus-fingerprint-k6"
+        (Staged.stage (fun () -> Jury.Consensus.fingerprints executions));
       Test.make ~name:"of-wire-encode"
         (Staged.stage (fun () -> Jury_openflow.Of_wire.encode msg));
       Test.make ~name:"of-wire-decode"

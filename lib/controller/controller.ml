@@ -32,10 +32,20 @@ type t = {
     (Types.trigger -> Types.action list -> Types.action list) option;
   mutable response_delay : Time.t;
   mutable omit_probability : float;
-  (* Cached topology view, rebuilt lazily when LINKSDB/SWITCHDB move. *)
+  (* Cached topology view, rebuilt lazily when LINKSDB/SWITCHDB move,
+     and what planning derives from it; [rebuild_view] clears those. *)
   mutable view : Graph.t;
   mutable view_dirty : bool;
+  flood : (Of_types.Dpid.t, int list) Hashtbl.t;
+      (* per switch: spanning-tree and host ports, sorted *)
+  routes : (Of_types.Dpid.t * Of_types.Dpid.t, route) Hashtbl.t;
 }
+
+(* What reactive forwarding reads of a BFS shortest path. *)
+and route =
+  | No_route  (* either switch unknown, or the view is cut between them *)
+  | Local  (* source and destination switch coincide *)
+  | Via of int  (* first-hop out port *)
 
 (* Forward reference: the proactive host-rule app needs planning and
    submission machinery defined further down the module. *)
@@ -69,7 +79,9 @@ let rec create engine ~id ~profile ~fabric =
       response_delay = Time.zero;
       omit_probability = 0.;
       view = Graph.create ();
-      view_dirty = true }
+      view_dirty = true;
+      flood = Hashtbl.create 32;
+      routes = Hashtbl.create 64 }
   in
   Fabric.subscribe fabric ~node:id (fun ~local ev ->
       if not local then begin
@@ -184,7 +196,9 @@ let rebuild_view t =
         | None -> ())
     (entries t Names.linksdb);
   t.view <- g;
-  t.view_dirty <- false
+  t.view_dirty <- false;
+  Hashtbl.clear t.flood;
+  Hashtbl.clear t.routes
 
 let view t =
   if t.view_dirty then rebuild_view t;
@@ -196,6 +210,24 @@ let link_ports t dpid =
 let host_ports t dpid =
   let links = link_ports t dpid in
   List.filter (fun p -> not (List.mem p links)) (switch_ports t dpid)
+
+(* Planning is a pure function of the view (and of SWITCHDB, which also
+   dirties it), so these are memoised until the next [rebuild_view]. *)
+let memo tbl key compute =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Hashtbl.add tbl key v;
+      v
+
+let route t src dst =
+  let g = view t in
+  memo t.routes (src, dst) (fun () ->
+      match Graph.shortest_path g src dst with
+      | None -> No_route
+      | Some ([ _ ] | []) -> Local
+      | Some ((_, _, out) :: _) -> Via out)
 
 let liveness_master_for_link t d1 d2 =
   match (master_of t d1, master_of t d2) with
@@ -212,21 +244,22 @@ let flood_ports t dpid ~in_port =
      differently-rooted trees disagree on which cycle edge to cut and
      broadcasts loop. *)
   let g = view t in
-  let tree =
-    match Graph.switches g with
-    | [] -> []
-    | root :: _ when Graph.has_switch g dpid -> (
-        (* Graph.switches is sorted, so the head is the lowest dpid. *)
-        match
-          List.find_opt
-            (fun (d, _) -> Of_types.Dpid.equal d dpid)
-            (Graph.spanning_tree_ports g root)
-        with
-        | Some (_, ps) -> ps
-        | None -> [])
-    | _ -> []
-  in
-  List.sort_uniq compare (tree @ host_ports t dpid)
+  memo t.flood dpid (fun () ->
+      let tree =
+        match Graph.switches g with
+        | [] -> []
+        | root :: _ when Graph.has_switch g dpid -> (
+            (* Graph.switches is sorted, so the head is the lowest dpid. *)
+            match
+              List.find_opt
+                (fun (d, _) -> Of_types.Dpid.equal d dpid)
+                (Graph.spanning_tree_ports g root)
+            with
+            | Some (_, ps) -> ps
+            | None -> [])
+        | _ -> []
+      in
+      List.sort_uniq compare (tree @ host_ports t dpid))
   |> List.filter (fun p -> p <> in_port)
 
 let plan_flood t dpid ~in_port ~buffer_id frame =
@@ -282,9 +315,9 @@ let flow_rule_actions t ~dpid ~rule ~priority ~idle ~out_port ~buffer_id =
 
 let plan_path_install t ~src_dpid ~in_port ~buffer_id frame
     (dst_dpid, dst_port) =
-  match Graph.shortest_path (view t) src_dpid dst_dpid with
-  | None -> plan_flood t src_dpid ~in_port ~buffer_id frame
-  | Some hops ->
+  match route t src_dpid dst_dpid with
+  | No_route -> plan_flood t src_dpid ~in_port ~buffer_id frame
+  | hop ->
       (* Hop-by-hop reactive forwarding, as ONOS's reactive app does:
          install a rule only at the switch that raised the PACKET_IN;
          the packet then misses at the next switch, whose own master
@@ -298,9 +331,9 @@ let plan_path_install t ~src_dpid ~in_port ~buffer_id frame
       in
       let idle = t.profile.Profile.flow_idle_timeout in
       let out_port =
-        match hops with
-        | [ _ ] | [] -> dst_port (* destination host on this switch *)
-        | (_, _, out) :: _ ->
+        match hop with
+        | Local | No_route -> dst_port (* destination host on this switch *)
+        | Via out ->
             if t.profile.Profile.ecmp then
               (* Load-balance across equal-cost next hops: an
                  intentionally non-deterministic application. *)

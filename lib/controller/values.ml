@@ -1,20 +1,48 @@
 open Jury_openflow
 module Addr = Jury_packet.Addr
 
+(* FLOWSDB values are hex-encoded wire bytes, built and parsed on every
+   flow-rule write, consensus check and sanity check: both directions
+   are single passes over [Bytes] with table lookups, allocating only
+   the result. *)
+let hex_digits = "0123456789abcdef"
+
 let hex_encode s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
+  done;
+  Bytes.unsafe_to_string b
+
+(* Nibble value of each byte, or -1 for a byte that is not a hex digit
+   (either case). *)
+let nibble =
+  let tbl = Array.make 256 (-1) in
+  String.iteri (fun i c -> tbl.(Char.code c) <- i) hex_digits;
+  String.iteri (fun i c -> tbl.(Char.code c) <- 10 + i) "ABCDEF";
+  tbl
 
 let hex_decode s =
   let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    try
-      Some
-        (String.init (n / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with Failure _ -> None
+  if n land 1 <> 0 then None
+  else begin
+    let b = Bytes.create (n / 2) in
+    let rec go i =
+      if i = n / 2 then Some (Bytes.unsafe_to_string b)
+      else
+        let hi = nibble.(Char.code (String.unsafe_get s (2 * i)))
+        and lo = nibble.(Char.code (String.unsafe_get s ((2 * i) + 1))) in
+        if hi < 0 || lo < 0 then None
+        else begin
+          Bytes.unsafe_set b i (Char.unsafe_chr ((hi lsl 4) lor lo));
+          go (i + 1)
+        end
+    in
+    go 0
+  end
 
 let dpid_to_key d = Printf.sprintf "%Lx" (Of_types.Dpid.to_int64 d)
 

@@ -61,7 +61,11 @@ module Master : sig
 end
 
 val hex_encode : string -> string
+(** Lowercase hex, two digits per byte. *)
+
 val hex_decode : string -> string option
+(** Inverse of {!hex_encode}; accepts either case. [None] on an odd
+    length or any byte that is not a hex digit. *)
 
 val parse_dpid_key : string -> Of_types.Dpid.t option
 (** Parse a bare dpid key (as used by SWITCHDB / MASTERDB). *)

@@ -313,55 +313,6 @@ let complete t p =
 
 (* --- Consensus --- *)
 
-let normalize_flow (fm : Of_message.flow_mod) =
-  { fm with Of_message.fm_buffer_id = None }
-
-let action_consensus_fingerprint (a : Types.action) =
-  (* Buffer ids differ between primary and shadow executions (only the
-     primary's switch allocated one), so they are erased before
-     comparison; likewise FLOWSDB values re-encode with the buffer
-     cleared. *)
-  match a with
-  | Types.Network_send { dpid; payload = Of_message.Flow_mod fm } ->
-      Types.action_fingerprint
-        (Types.Network_send
-           { dpid; payload = Of_message.Flow_mod (normalize_flow fm) })
-  | Types.Network_send { dpid; payload = Of_message.Packet_out po } ->
-      Types.action_fingerprint
-        (Types.Network_send
-           { dpid;
-             payload = Of_message.Packet_out { po with po_buffer_id = None } })
-  | Types.Cache_write { cache; op; key; value } when cache = Names.flowsdb -> (
-      match Values.Flow.parse value with
-      | Some fm ->
-          Types.action_fingerprint
-            (Types.Cache_write
-               { cache; op; key;
-                 value = Values.Flow.value (normalize_flow fm) })
-      | None -> Types.action_fingerprint a)
-  | _ -> Types.action_fingerprint a
-
-let response_fingerprint actions =
-  actions
-  |> List.map action_consensus_fingerprint
-  |> List.sort String.compare
-  |> String.concat "\n"
-
-let majority_fingerprint fps =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun fp ->
-      match Hashtbl.find_opt tbl fp with
-      | Some r -> incr r
-      | None -> Hashtbl.add tbl fp (ref 1))
-    fps;
-  Hashtbl.fold
-    (fun fp r best ->
-      match best with
-      | Some (_, n) when n >= !r -> best
-      | _ -> Some (fp, !r))
-    tbl None
-
 type consensus_result =
   | Agrees of int  (* agreeing responses, primary included *)
   | Disagrees of int list  (* dissenting controllers *)
@@ -374,7 +325,6 @@ let run_consensus t p (prim_r : Response.t) prim_actions =
     if p.secondaries = [] then Agrees 1 (* nothing was replicated *)
     else Unverifiable
   else begin
-    let prim_fp = response_fingerprint prim_actions in
     let comparable =
       if t.state_aware then
         List.filter
@@ -386,10 +336,10 @@ let run_consensus t p (prim_r : Response.t) prim_actions =
     match comparable with
     | [] -> Unverifiable
     | _ -> (
-        let fps =
-          List.map (fun (_, actions) -> response_fingerprint actions) comparable
+        let all =
+          Consensus.fingerprints (prim_actions :: List.map snd comparable)
         in
-        let all = prim_fp :: fps in
+        let prim_fp = List.hd all in
         let distinct = List.sort_uniq String.compare all in
         if
           t.cfg.nondet_rule
@@ -397,19 +347,18 @@ let run_consensus t p (prim_r : Response.t) prim_actions =
           && List.length distinct = List.length all
         then Non_deterministic
         else
-          match majority_fingerprint all with
+          match Consensus.majority all with
           | None -> Unverifiable
           | Some (winner, n) ->
               if 2 * n <= List.length all then Unverifiable
               else if String.equal winner prim_fp then begin
                 (* Primary agrees; flag dissenting secondaries. *)
                 let dissenters =
-                  List.filter_map
-                    (fun ((r : Response.t), actions) ->
-                      if String.equal (response_fingerprint actions) winner
-                      then None
-                      else Some r.controller)
-                    comparable
+                  List.fold_right2
+                    (fun ((r : Response.t), _) fp acc ->
+                      if String.equal fp winner then acc
+                      else r.controller :: acc)
+                    comparable (List.tl all) []
                 in
                 if dissenters = [] then Agrees (1 + List.length comparable)
                 else Disagrees dissenters
@@ -445,10 +394,9 @@ let secondary_quorum t p =
       in
       List.fold_left
         (fun best members ->
-          let fps =
-            List.map (fun (_, actions) -> response_fingerprint actions) members
-          in
-          match majority_fingerprint fps with
+          let lists = List.map snd members in
+          let fps = Consensus.fingerprints lists in
+          match Consensus.majority fps with
           | None -> best
           | Some (fp, n) -> (
               match best with
@@ -456,9 +404,8 @@ let secondary_quorum t p =
               | _ ->
                   let _, actions =
                     List.find
-                      (fun (_, a) ->
-                        String.equal (response_fingerprint a) fp)
-                      members
+                      (fun (f, _) -> String.equal f fp)
+                      (List.combine fps lists)
                   in
                   Some (actions, n)))
         None groups
@@ -466,7 +413,6 @@ let secondary_quorum t p =
 (* --- Sanity check: cache vs network consistency for flow rules --- *)
 
 let flows_equal (a : Of_message.flow_mod) (b : Of_message.flow_mod) =
-  let a = normalize_flow a and b = normalize_flow b in
   Of_match.equal a.fm_match b.fm_match
   && a.priority = b.priority
   && Of_action.equal_list a.actions b.actions

@@ -58,6 +58,91 @@ let test_values_flow () =
   | None -> Alcotest.fail "key must carry dpid");
   check_bool "bad value rejected" true (Values.Flow.parse "zzz" = None)
 
+(* The string-per-byte codec FLOWSDB values used before the table-driven
+   one, kept verbatim as the oracle. *)
+let oracle_hex_encode s =
+  let b = Buffer.create (2 * String.length s) in
+  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
+  Buffer.contents b
+
+let oracle_hex_decode s =
+  let n = String.length s in
+  if n mod 2 <> 0 then None
+  else
+    try
+      Some
+        (String.init (n / 2) (fun i ->
+             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
+    with Failure _ -> None
+
+let is_hex_digit c =
+  match c with '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+
+(* The oracle's one defect: [int_of_string] skips underscores after the
+   first digit, so a pair "X_" decoded to X. *)
+let has_underscore_pair s =
+  let rec go i =
+    i + 1 < String.length s
+    && ((is_hex_digit s.[i] && s.[i + 1] = '_') || go (i + 2))
+  in
+  String.length s mod 2 = 0 && go 0
+
+let test_values_hex_codec () =
+  let check_opt = Alcotest.(check (option string)) in
+  for c = 0 to 255 do
+    let s = String.make 1 (Char.chr c) in
+    Alcotest.(check string) "encode byte" (oracle_hex_encode s)
+      (Values.hex_encode s)
+  done;
+  let all_bytes = String.init 256 Char.chr in
+  Alcotest.(check string) "encode all bytes" (oracle_hex_encode all_bytes)
+    (Values.hex_encode all_bytes);
+  (* Every two-byte input: the decoders agree except on the 22 "X_"
+     pairs, which the table-driven decoder rejects. *)
+  let disagreements = ref [] in
+  for i = 0 to 65535 do
+    let s = String.init 2 (fun j -> Char.chr ((i lsr (8 * j)) land 0xff)) in
+    let got = Values.hex_decode s and want = oracle_hex_decode s in
+    if got <> want then begin
+      check_opt ("rejects " ^ String.escaped s) None got;
+      disagreements := s :: !disagreements
+    end
+  done;
+  check_int "only the X_ pairs differ" 22 (List.length !disagreements);
+  check_bool "each is a hex digit then '_'" true
+    (List.for_all has_underscore_pair !disagreements);
+  check_opt "pinned repro: \"f_\"" None (Values.hex_decode "f_");
+  check_opt "oracle accepted it" (Some "\x0f") (oracle_hex_decode "f_");
+  (* Random round trips through upper and mixed case, odd lengths, and
+     strings over an alphabet with non-digits. *)
+  let st = Random.State.make [| 14 |] in
+  let random_bytes n = String.init n (fun _ -> Char.chr (Random.State.int st 256)) in
+  let alphabet = "0123456789abcdefABCDEFgG_ x" in
+  for _ = 1 to 2000 do
+    let raw = random_bytes (Random.State.int st 40) in
+    let hex = Values.hex_encode raw in
+    check_opt "lower" (Some raw) (Values.hex_decode hex);
+    check_opt "upper" (Some raw)
+      (Values.hex_decode (String.uppercase_ascii hex));
+    let mixed =
+      String.map
+        (fun c -> if Random.State.bool st then Char.uppercase_ascii c else c)
+        hex
+    in
+    check_opt "mixed" (Some raw) (Values.hex_decode mixed);
+    check_opt "mixed, oracle" (oracle_hex_decode mixed) (Values.hex_decode mixed);
+    let odd = hex ^ String.make 1 alphabet.[Random.State.int st 16] in
+    check_opt "odd length" None (Values.hex_decode odd);
+    let noisy =
+      String.init
+        (2 * Random.State.int st 8)
+        (fun _ -> alphabet.[Random.State.int st (String.length alphabet)])
+    in
+    check_opt ("noisy " ^ noisy)
+      (if has_underscore_pair noisy then None else oracle_hex_decode noisy)
+      (Values.hex_decode noisy)
+  done
+
 let test_values_switch_master () =
   let v = Values.Switch.value_connected ~master:4 ~ports:[ 3; 1; 2 ] in
   (match Values.Switch.parse v with
@@ -288,6 +373,80 @@ let test_plan_determinism_across_replicas () =
   check_bool "identical plans" true
     (List.for_all (fun fp -> fp = List.hd fps) fps);
   check_bool "plans act" true (List.for_all (fun p -> p <> []) plans)
+
+(* A controller that has already planned must plan exactly as a freshly
+   created one over the same caches after each way the topology view
+   goes stale: a LINKSDB tear-down, a SWITCHDB port change (both seen
+   through the store listener), and a silent state transfer followed by
+   [invalidate_view]. *)
+let test_plan_cache_invalidation () =
+  let engine, network, cluster = mk_cluster () in
+  List.iter Host.join (Network.hosts network);
+  settle engine;
+  let warm = Cluster.controller cluster 0 in
+  let fabric = Cluster.fabric cluster in
+  let h0 = Network.host network 0 and h3 = Network.host network 3 in
+  let packet_in dpid frame =
+    Types.Packet_in
+      ( Dpid.of_int dpid,
+        { Of_message.buffer_id = None; in_port = 1;
+          reason = Of_message.No_match; frame } )
+  in
+  let triggers =
+    [ (* path install toward h3, and a broadcast flood, at switch 1 *)
+      packet_in 1
+        (Jury_packet.Frame.tcp_packet
+           ~src:(Host.mac h0, Host.ip h0)
+           ~dst:(Host.mac h3, Host.ip h3)
+           ~src_port:999 ~dst_port:80 ());
+      packet_in 1
+        (Jury_packet.Frame.arp_request
+           ~sender:(Host.mac h0, Host.ip h0)
+           ~target:(Host.ip h3));
+      packet_in 2
+        (Jury_packet.Frame.arp_request
+           ~sender:(Host.mac h0, Host.ip h0)
+           ~target:(Host.ip h3)) ]
+  in
+  let plans c = List.map (Controller.plan_as c ~as_id:0) triggers in
+  let check_fresh what =
+    let fresh =
+      Controller.create engine ~id:0 ~profile:Profile.onos ~fabric
+    in
+    let got = plans warm in
+    check_bool (what ^ ": warm plans = fresh plans") true (got = plans fresh);
+    got
+  in
+  let before = check_fresh "converged" in
+  (* LINKSDB: cut the link between switches 1 and 2. *)
+  let edge =
+    List.find
+      (fun (e : Jury_topo.Graph.edge) ->
+        Dpid.equal e.a.dpid (Dpid.of_int 1) && Dpid.equal e.b.dpid (Dpid.of_int 2))
+      (Jury_topo.Graph.edges (Network.plan network).Builder.graph)
+  in
+  Network.take_link_down network edge.a edge.b;
+  settle engine;
+  let cut = check_fresh "after link tear-down" in
+  check_bool "tear-down changed the plans" true (cut <> before);
+  (* SWITCHDB: switch 2 grows a port (a new host port to flood on). *)
+  let key = Values.Switch.key (Dpid.of_int 2) in
+  let master, ports =
+    Option.get (Option.bind (Fabric.read fabric ~node:0 ~cache:Names.switchdb ~key)
+                  Values.Switch.parse)
+  in
+  ignore
+    (Fabric.inject_divergent_write fabric ~node:0 ~cache:Names.switchdb
+       Jury_store.Event.Update ~key
+       ~value:(Values.Switch.value_connected ~master ~ports:(9 :: ports)));
+  let grown = check_fresh "after port change" in
+  check_bool "port change changed the plans" true (grown <> cut);
+  (* State transfer: node 0 takes node 1's tables without listeners
+     firing, which drops port 9 again; only [invalidate_view] tells. *)
+  Fabric.resync fabric ~from:1 ~node:0;
+  Controller.invalidate_view warm;
+  let synced = check_fresh "after resync + invalidate_view" in
+  check_bool "resync changed the plans" true (synced <> grown)
 
 let test_liveness_master () =
   let _, _, cluster = mk_cluster () in
@@ -520,6 +679,7 @@ let suite =
     ("values: link", `Quick, test_values_link);
     ("values: flow", `Quick, test_values_flow);
     ("values: switch/master", `Quick, test_values_switch_master);
+    ("values: hex codec vs oracle", `Quick, test_values_hex_codec);
     ("taints", `Quick, test_taint);
     ("response fingerprints", `Quick, test_fingerprints);
     ("pipeline serial service", `Quick, test_pipeline_serial_service);
@@ -533,6 +693,7 @@ let suite =
     ("rest delete", `Quick, test_rest_delete);
     ("port status cleans links", `Quick, test_port_status_cleans_links);
     ("plan determinism across replicas", `Quick, test_plan_determinism_across_replicas);
+    ("plan caches follow the topology view", `Quick, test_plan_cache_invalidation);
     ("liveness master election", `Quick, test_liveness_master);
     ("mutator and response fates", `Quick, test_mutator_and_fates);
     ("flow_removed cleans store", `Quick, test_flow_removed_cleans_store);

@@ -272,6 +272,152 @@ let test_validator_nondet_rule () =
         (a.Alarm.verdict = Alarm.Ok_non_deterministic)
   | _ -> Alcotest.fail "one verdict"
 
+(* --- Consensus over k=6: fingerprints are computed once per distinct
+   list, so these pin that equal-by-value, distinct-by-value and
+   fingerprint-equal-but-structurally-different lists still vote as
+   before. Every list below is built afresh, never shared. --- *)
+
+let secondaries6 = [ 1; 2; 3; 4; 5; 6 ]
+
+(* [response_actions] plus a PACKET_OUT, with [buffer] as the buffer id
+   of the FLOW_MOD (also inside its FLOWSDB value) and the PACKET_OUT. *)
+let buffered_actions ?(out = 2) ~buffer dpid =
+  let d, fmv = flow_for dpid in
+  let fmv = { fmv with Of_message.fm_buffer_id = buffer } in
+  [ Types.Cache_write
+      { cache = Names.flowsdb;
+        op = Event.Create;
+        key = Values.Flow.key d fmv.Of_message.fm_match ~priority:100;
+        value = Values.Flow.value fmv };
+    Types.Network_send { dpid = d; payload = Of_message.Flow_mod fmv };
+    Types.Network_send
+      { dpid = d;
+        payload =
+          Of_message.Packet_out
+            { po_buffer_id = buffer; po_in_port = 1;
+              po_actions = [ Of_action.Output out ]; po_frame = None } } ]
+
+let feed_k6 v ~primary ~secondary =
+  Validator.register_external v ~taint ~at:Time.zero ~primary:0
+    ~secondaries:secondaries6;
+  deliver v ~controller:0 ~snapshot:Snapshot.pristine
+    (Response.Execution { role = `Primary; actions = primary });
+  List.iter
+    (fun c ->
+      deliver v ~controller:c ~snapshot:Snapshot.pristine
+        (Response.Execution { role = `Secondary; actions = secondary c }))
+    secondaries6;
+  feed_cache_and_network v ~actions:primary ~dpid:(Dpid.of_int 1)
+
+let test_consensus_buffer_ids_erased () =
+  let engine, v = mk_validator ~k:6 () in
+  let dpid = Dpid.of_int 1 in
+  let primary = buffered_actions ~buffer:(Some 7) dpid in
+  let secondary _ = buffered_actions ~buffer:None dpid in
+  check_bool "FLOWSDB values differ as strings" true
+    (List.hd primary <> List.hd (secondary 1));
+  feed_k6 v ~primary ~secondary;
+  Engine.run engine;
+  check_int "no faults" 0 (Validator.fault_count v);
+  match Validator.verdicts v with
+  | [ a ] ->
+      check_bool "agrees (Ok_valid)" true (a.Alarm.verdict = Alarm.Ok_valid)
+  | _ -> Alcotest.fail "one verdict"
+
+let test_consensus_single_dissenter_k6 () =
+  let engine, v = mk_validator ~k:6 () in
+  let dpid = Dpid.of_int 1 in
+  let secondary c =
+    if c = 4 then buffered_actions ~out:3 ~buffer:None dpid
+    else buffered_actions ~buffer:None dpid
+  in
+  feed_k6 v ~primary:(buffered_actions ~buffer:(Some 7) dpid) ~secondary;
+  Engine.run engine;
+  match Validator.alarms v with
+  | [ a ] ->
+      check_bool "consensus mismatch" true
+        (match a.Alarm.verdict with
+        | Alarm.Faulty fs -> List.mem Alarm.Consensus_mismatch fs
+        | _ -> false);
+      Alcotest.(check (list int)) "only the mutated one" [ 4 ] a.Alarm.suspects
+  | _ -> Alcotest.fail "expected one dissent alarm"
+
+let test_consensus_nondet_distinct_tails () =
+  (* Three lists equal up to their last action's output port. *)
+  let engine, v = mk_validator () in
+  let snap = Snapshot.pristine in
+  let variant out = buffered_actions ~out ~buffer:None (Dpid.of_int 1) in
+  Validator.register_external v ~taint ~at:Time.zero ~primary:0
+    ~secondaries:[ 1; 2 ];
+  List.iter
+    (fun (c, role, out) ->
+      deliver v ~controller:c ~snapshot:snap
+        (Response.Execution { role; actions = variant out }))
+    [ (0, `Primary, 2); (1, `Secondary, 3); (2, `Secondary, 4) ];
+  feed_cache_and_network v ~actions:(variant 2) ~dpid:(Dpid.of_int 1);
+  Engine.run engine;
+  match Validator.verdicts v with
+  | [ a ] ->
+      check_bool "non-deterministic" true
+        (a.Alarm.verdict = Alarm.Ok_non_deterministic)
+  | _ -> Alcotest.fail "one verdict"
+
+let test_consensus_secondary_quorum_lost_primary () =
+  (* The primary's response is lost. Same-view group {1,2,3,4}: three
+     fingerprint-equal lists (one with buffer ids set) and one LINKSDB
+     write; stale-view group {5,6}: the LINKSDB write twice. The quorum
+     is group one's three, whose actions pass the no-LINKSDB policy; the
+     LINKSDB write would fail it and leave a timeout. *)
+  let policies =
+    Jury_policy.Engine.create
+      [ Jury_policy.Ast.rule ~name:"no-linksdb" ~cache:"LINKSDB" () ]
+  in
+  let engine, v = mk_validator ~k:6 ~policies ~degraded_quorum:2 () in
+  let dpid = Dpid.of_int 1 in
+  let stale = Snapshot.observe Snapshot.pristine (ev ()) in
+  let link_write () =
+    [ Types.Cache_write
+        { cache = Names.linksdb; op = Event.Update; key = "l"; value = "down" } ]
+  in
+  Validator.register_external v ~taint ~at:Time.zero ~primary:0
+    ~secondaries:secondaries6;
+  List.iter
+    (fun (c, snapshot, actions) ->
+      deliver v ~controller:c ~snapshot
+        (Response.Execution { role = `Secondary; actions }))
+    [ (1, Snapshot.pristine, buffered_actions ~buffer:None dpid);
+      (2, Snapshot.pristine, buffered_actions ~buffer:(Some 7) dpid);
+      (3, Snapshot.pristine, buffered_actions ~buffer:None dpid);
+      (4, Snapshot.pristine, link_write ());
+      (5, stale, link_write ());
+      (6, stale, link_write ()) ];
+  Engine.run engine;
+  check_int "no faults" 0 (Validator.fault_count v);
+  match Validator.verdicts v with
+  | [ a ] ->
+      check_bool "ok-degraded" true (a.Alarm.verdict = Alarm.Ok_degraded);
+      Alcotest.(check string) "quorum of three"
+        "primary response lost; 3 equivalent-view replica response(s) agree"
+        a.Alarm.detail
+  | _ -> Alcotest.fail "one verdict"
+
+let test_consensus_fingerprints_memo () =
+  let dpid = Dpid.of_int 1 in
+  let lists =
+    [ buffered_actions ~buffer:(Some 7) dpid;
+      buffered_actions ~buffer:None dpid;
+      buffered_actions ~out:3 ~buffer:None dpid;
+      [];
+      buffered_actions ~buffer:None dpid;
+      buffered_actions ~out:3 ~buffer:(Some 1) dpid ]
+  in
+  Alcotest.(check (list string)) "fingerprints = map fingerprint"
+    (List.map Jury.Consensus.fingerprint lists)
+    (Jury.Consensus.fingerprints lists);
+  check_bool "buffer ids erased" true
+    (Jury.Consensus.fingerprint (List.nth lists 0)
+    = Jury.Consensus.fingerprint (List.nth lists 1))
+
 let test_validator_timeout_missing_primary () =
   let engine, v = mk_validator () in
   Validator.register_external v ~taint ~at:Time.zero ~primary:0
@@ -942,6 +1088,16 @@ let suite =
     ("validator state-aware excuse", `Quick, test_validator_state_aware_excuses);
     ("validator naive majority FP", `Quick, test_validator_naive_majority_false_alarm);
     ("validator non-determinism rule", `Quick, test_validator_nondet_rule);
+    ("consensus erases buffer ids (k=6)", `Quick,
+     test_consensus_buffer_ids_erased);
+    ("consensus single dissenter (k=6)", `Quick,
+     test_consensus_single_dissenter_k6);
+    ("consensus non-determinism, distinct tails", `Quick,
+     test_consensus_nondet_distinct_tails);
+    ("consensus secondary quorum, lost primary", `Quick,
+     test_consensus_secondary_quorum_lost_primary);
+    ("consensus fingerprints memo exact", `Quick,
+     test_consensus_fingerprints_memo);
     ("validator timeout missing primary", `Quick, test_validator_timeout_missing_primary);
     ("validator cache-without-network", `Quick, test_validator_cache_without_network);
     ("validator network-without-cache", `Quick, test_validator_network_without_cache);
