@@ -647,6 +647,17 @@ let micro ~full:_ () =
   in
   let d1 = Jury_openflow.Of_types.Dpid.of_int 1 in
   let d24 = Jury_openflow.Of_types.Dpid.of_int 24 in
+  (* The FLOWSDB key of a reactive controller's exact-match rule, and the
+     byte count charged for the PACKET_IN that triggered it. *)
+  let exact_match =
+    Jury_openflow.Of_match.exact_of_frame ~in_port:1 probe_frame
+  in
+  let packet_in =
+    Jury_openflow.Of_message.make ~xid:9
+      (Jury_openflow.Of_message.Packet_in
+         { buffer_id = Some 1; in_port = 1;
+           reason = Jury_openflow.Of_message.No_match; frame = probe_frame })
+  in
   let compiled = Jury_policy.Engine.compiled policy_engine in
   (* A k=6 trigger's seven executions: equal lists, each built afresh,
      as the validator receives them. *)
@@ -672,6 +683,11 @@ let micro ~full:_ () =
                (Jury_controller.Values.Flow.value flow_mod)));
       Test.make ~name:"consensus-fingerprint-k6"
         (Staged.stage (fun () -> Jury.Consensus.fingerprints executions));
+      Test.make ~name:"flow-key"
+        (Staged.stage (fun () ->
+             Jury_controller.Values.Flow.key d1 exact_match ~priority:100));
+      Test.make ~name:"southbound-size"
+        (Staged.stage (fun () -> Jury_openflow.Of_wire.encoded_size packet_in));
       Test.make ~name:"of-wire-encode"
         (Staged.stage (fun () -> Jury_openflow.Of_wire.encode msg));
       Test.make ~name:"of-wire-decode"

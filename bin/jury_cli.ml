@@ -84,7 +84,8 @@ module Common = struct
     Term.(const mk $ max_inflight $ batch_us $ pipeline_jobs)
 
   (* Subcommands build their JURY configuration through [with_jury]:
-     a knob [Jury_config.make] rejects becomes a one-line usage error
+     a knob [Jury_config.make] (or another up-front argument check)
+     rejects with [Invalid_argument] becomes a one-line usage error
      (exit 124) instead of an uncaught exception. The subcommand's term
      is wrapped in [Term.ret]. *)
   let with_jury build run =
@@ -178,10 +179,12 @@ let matrix_cmd =
   in
   let run nodes k faulty seed switches repeats jobs =
     Option.iter Jury_par.Pool.set_default_jobs jobs;
-    let results =
-      Jury_faults.Runner.run_matrix ~seed ~repeats ~nodes ~k ~faulty
-        ~switches Jury_faults.Scenarios.all
-    in
+    (* Both calls check their arguments before any cell runs. *)
+    Common.with_jury (fun () ->
+        ignore (Jury.Jury_config.make ~k ());
+        Jury_faults.Runner.run_matrix ~seed ~repeats ~nodes ~k ~faulty
+          ~switches Jury_faults.Scenarios.all)
+    @@ fun results ->
     let missed = ref 0 in
     List.iter
       (fun ((scenario : Jury_faults.Scenarios.t), reports) ->
@@ -206,8 +209,9 @@ let matrix_cmd =
     (Cmd.info "matrix"
        ~doc:"Run every fault scenario repeatedly on a domain pool and \
              print the detection matrix")
-    Term.(const run $ Common.nodes $ Common.k $ Common.faulty $ Common.seed
-          $ Common.switches $ repeats_arg $ Common.jobs)
+    Term.(ret
+            (const run $ Common.nodes $ Common.k $ Common.faulty $ Common.seed
+             $ Common.switches $ repeats_arg $ Common.jobs))
 
 (* --- simulate --- *)
 
@@ -513,10 +517,14 @@ let validator_scale_cmd =
   in
   let run seed duration rates jobs max_inflight batch_us =
     Option.iter Jury_par.Pool.set_default_jobs jobs;
+    let batch = Common.batch_of_us batch_us in
+    (* The sweep builds this same config again from the same knobs. *)
+    Common.with_jury (fun () ->
+        Jury.Jury_config.make ~k:2 ?max_inflight ?batch ())
+    @@ fun _ ->
     let rows =
       Jury_experiments.Figures.validator_scale ~seed
-        ~duration:(Time.sec duration) ~rates ?max_inflight
-        ?batch:(Common.batch_of_us batch_us) ()
+        ~duration:(Time.sec duration) ~rates ?max_inflight ?batch ()
     in
     Printf.printf "%-8s %-8s %-11s %-8s %s\n" "rate" "decided" "verdicts/s"
       "batches" "overloads";
@@ -534,8 +542,9 @@ let validator_scale_cmd =
     (Cmd.info "validator-scale"
        ~doc:"Sweep the trigger rate with batched response ingestion and \
              print validator throughput")
-    Term.(const run $ Common.seed $ duration_arg $ rates_arg $ Common.jobs
-          $ Common.max_inflight $ Common.batch_us)
+    Term.(ret
+            (const run $ Common.seed $ duration_arg $ rates_arg $ Common.jobs
+             $ Common.max_inflight $ Common.batch_us))
 
 (* --- policy --- *)
 

@@ -44,7 +44,15 @@ let hex_decode s =
     go 0
   end
 
-let dpid_to_key d = Printf.sprintf "%Lx" (Of_types.Dpid.to_int64 d)
+(* [Dpid.to_string] without its "of:" prefix and leading zeros, keeping
+   one digit: the output of [Printf]'s [%Lx], built on every MASTERDB
+   lookup. *)
+let dpid_to_key d =
+  let s = Of_types.Dpid.to_string d in
+  let last = String.length s - 1 in
+  let rec first i = if i < last && s.[i] = '0' then first (i + 1) else i in
+  let i = first 3 in
+  String.sub s i (last + 1 - i)
 
 let dpid_of_key s =
   match Int64.of_string_opt ("0x" ^ s) with
@@ -55,7 +63,8 @@ module Host = struct
   let key mac = Addr.Mac.to_string mac
 
   let value ~dpid ~port ~ip =
-    Printf.sprintf "%s:%d:%s" (dpid_to_key dpid) port (Addr.Ipv4.to_string ip)
+    String.concat ":"
+      [ dpid_to_key dpid; string_of_int port; Addr.Ipv4.to_string ip ]
 
   let parse v =
     match String.split_on_char ':' v with
@@ -77,7 +86,7 @@ module Arp = struct
 end
 
 module Link = struct
-  let endpoint_str (d, p) = Printf.sprintf "%s:%d" (dpid_to_key d) p
+  let endpoint_str (d, p) = dpid_to_key d ^ ":" ^ string_of_int p
 
   let key e1 e2 =
     let s1 = endpoint_str e1 and s2 = endpoint_str e2 in
@@ -111,10 +120,11 @@ module Link = struct
 end
 
 module Flow = struct
+  (* dpid key, '/', and the hex MD5 of the printed match followed by the
+     decimal priority. *)
   let key dpid m ~priority =
-    Printf.sprintf "%s/%s" (dpid_to_key dpid)
-      (Digest.to_hex
-         (Digest.string (Of_match.to_string m ^ string_of_int priority)))
+    let digest = Digest.string (Of_match.to_string m ^ string_of_int priority) in
+    String.concat "/" [ dpid_to_key dpid; Digest.to_hex digest ]
 
   let value (fm : Of_message.flow_mod) =
     hex_encode (Of_wire.encode (Of_message.make ~xid:0 (Of_message.Flow_mod fm)))

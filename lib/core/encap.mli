@@ -20,6 +20,7 @@ val decapsulate :
 (** Recover the inner message; [None] if the PACKET_IN is not an
     encapsulation. *)
 
-val overhead_bytes : Jury_openflow.Of_message.t -> int
-(** Extra bytes the encapsulated copy occupies on the wire compared to
-    the original message. *)
+val overhead_bytes : int
+(** Extra bytes the encapsulated copy of any message occupies on the
+    wire compared to the original: 8 (OpenFlow header) + 10 (PACKET_IN
+    fields) + 14 (Ethernet header) = 32. *)

@@ -20,7 +20,11 @@ type env = {
   faulty : int;
 }
 
-let run_env ?(seed = 11) ?(nodes = 7) ?(k = 6) ?(faulty = 2)
+let default_nodes = 7
+let default_faulty = 2
+
+let run_env ?(seed = 11) ?(nodes = default_nodes) ?(k = 6)
+    ?(faulty = default_faulty)
     ?(extra_slow = []) ?(switches = 24) ?(random_secondaries = true) ?trace
     ?max_inflight ?batch ?pipeline_jobs (scenario : Scenarios.t) =
   let engine = Engine.create ~seed () in
@@ -92,8 +96,18 @@ let run ?seed ?nodes ?k ?faulty ?extra_slow ?switches ?random_secondaries
        ?random_secondaries ?trace ?max_inflight ?batch ?pipeline_jobs
        scenario)
 
-let run_matrix ?pool ?(seed = 11) ?(repeats = 1) ?(seed_stride = 13) ?nodes
-    ?k ?faulty ?extra_slow ?switches ?random_secondaries scenarios =
+let run_matrix ?pool ?(seed = 11) ?(repeats = 1) ?(seed_stride = 13)
+    ?(nodes = default_nodes) ?k ?(faulty = default_faulty) ?extra_slow
+    ?switches ?random_secondaries scenarios =
+  (* The catalog's faults need a faulty replica other than node 0, which
+     is never the higher-id master of a link. Checked before fanning out:
+     a shape no scenario can run is one error, not one per cell. *)
+  if faulty < 1 || faulty >= nodes then
+    invalid_arg
+      (Printf.sprintf
+         "Runner.run_matrix: need 1 <= faulty < nodes (faulty = %d, \
+          nodes = %d)"
+         faulty nodes);
   let pool =
     match pool with Some p -> p | None -> Jury_par.Pool.default ()
   in
@@ -107,7 +121,7 @@ let run_matrix ?pool ?(seed = 11) ?(repeats = 1) ?(seed_stride = 13) ?nodes
   in
   let reports =
     Jury_par.Pool.map_ordered pool cells (fun (scenario, i) ->
-        run ~seed:(seed + (i * seed_stride)) ?nodes ?k ?faulty ?extra_slow
+        run ~seed:(seed + (i * seed_stride)) ~nodes ?k ~faulty ?extra_slow
           ?switches ?random_secondaries scenario)
   in
   let rec regroup scenarios reports =

@@ -49,7 +49,10 @@ val run_matrix :
     (scenario, repeat) cells out on [pool] (default
     {!Jury_par.Pool.default}). Each cell builds its own engine inside
     its task, so results are byte-identical whatever the worker count.
-    Reports come back grouped per scenario, repeats in order. *)
+    Reports come back grouped per scenario, repeats in order. Raises
+    [Invalid_argument] before running anything unless
+    [1 <= faulty < nodes]: no cluster shape outside that range can run
+    the catalog. *)
 
 val run_env :
   ?seed:int -> ?nodes:int -> ?k:int -> ?faulty:int ->

@@ -166,36 +166,55 @@ let compare = Stdlib.compare
 let equal a b = compare a b = 0
 let hash = Hashtbl.hash
 
-let pp fmt t =
-  let first = ref true in
-  let field name pp_v = function
-    | None -> ()
-    | Some v ->
-        if not !first then Format.pp_print_string fmt ",";
-        first := false;
-        Format.fprintf fmt "%s=%a" name pp_v v
-  in
-  Format.pp_print_string fmt "{";
-  field "in_port" Of_types.Port.pp t.in_port;
-  field "dl_src" Addr.Mac.pp t.dl_src;
-  field "dl_dst" Addr.Mac.pp t.dl_dst;
-  field "dl_vlan"
-    (fun fmt -> function
-      | None -> Format.pp_print_string fmt "untagged"
-      | Some v -> Format.pp_print_int fmt v)
-    t.dl_vlan;
-  field "dl_type" (fun fmt v -> Format.fprintf fmt "0x%04x" v) t.dl_type;
-  field "nw_src"
-    (fun fmt (p, b) -> Format.fprintf fmt "%a/%d" Addr.Ipv4.pp p b)
-    t.nw_src;
-  field "nw_dst"
-    (fun fmt (p, b) -> Format.fprintf fmt "%a/%d" Addr.Ipv4.pp p b)
-    t.nw_dst;
-  field "nw_proto" Format.pp_print_int t.nw_proto;
-  field "nw_tos" Format.pp_print_int t.nw_tos;
-  field "tp_src" Format.pp_print_int t.tp_src;
-  field "tp_dst" Format.pp_print_int t.tp_dst;
-  if !first then Format.pp_print_string fmt "*";
-  Format.pp_print_string fmt "}"
+(* The printers below write straight into one buffer: [to_string] is
+   hashed into every FLOWSDB key. *)
 
-let to_string t = Format.asprintf "%a" pp t
+let add_int b v = Buffer.add_string b (string_of_int v)
+let add_port b p = Buffer.add_string b (Of_types.Port.to_string p)
+let add_mac b m = Buffer.add_string b (Addr.Mac.to_string m)
+
+let add_vlan b = function
+  | None -> Buffer.add_string b "untagged"
+  | Some v -> add_int b v
+
+(* "0x" and at least four lowercase hex digits; a negative value prints
+   as its unsigned 63-bit pattern, as [Printf]'s [%04x] does. *)
+let add_hex4 b v =
+  let rec width v n = if v = 0 then n else width (v lsr 4) (n + 1) in
+  Buffer.add_string b "0x";
+  for i = max 4 (width v 0) - 1 downto 0 do
+    Buffer.add_char b "0123456789abcdef".[(v lsr (4 * i)) land 15]
+  done
+
+let add_prefix b (p, bits) =
+  Buffer.add_string b (Addr.Ipv4.to_string p);
+  Buffer.add_char b '/';
+  add_int b bits
+
+let add_field b name add = function
+  | None -> ()
+  | Some v ->
+      if Buffer.length b > 1 then Buffer.add_char b ',';
+      Buffer.add_string b name;
+      Buffer.add_char b '=';
+      add b v
+
+let to_string t =
+  let b = Buffer.create 160 in
+  Buffer.add_char b '{';
+  add_field b "in_port" add_port t.in_port;
+  add_field b "dl_src" add_mac t.dl_src;
+  add_field b "dl_dst" add_mac t.dl_dst;
+  add_field b "dl_vlan" add_vlan t.dl_vlan;
+  add_field b "dl_type" add_hex4 t.dl_type;
+  add_field b "nw_src" add_prefix t.nw_src;
+  add_field b "nw_dst" add_prefix t.nw_dst;
+  add_field b "nw_proto" add_int t.nw_proto;
+  add_field b "nw_tos" add_int t.nw_tos;
+  add_field b "tp_src" add_int t.tp_src;
+  add_field b "tp_dst" add_int t.tp_dst;
+  if Buffer.length b = 1 then Buffer.add_char b '*';
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)

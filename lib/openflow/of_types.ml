@@ -7,8 +7,17 @@ module Dpid = struct
   let compare = Int64.compare
   let equal = Int64.equal
   let hash = Hashtbl.hash
-  let pp fmt t = Format.fprintf fmt "of:%016Lx" t
-  let to_string t = Format.asprintf "%a" pp t
+  (* "of:" and the 16 lowercase hex digits of the unsigned 64-bit id. *)
+  let to_string t =
+    let b = Bytes.create 19 in
+    Bytes.blit_string "of:" 0 b 0 3;
+    for i = 0 to 15 do
+      let nibble = Int64.to_int (Int64.shift_right_logical t (60 - (4 * i))) in
+      Bytes.unsafe_set b (3 + i) "0123456789abcdef".[nibble land 15]
+    done;
+    Bytes.unsafe_to_string b
+
+  let pp fmt t = Format.pp_print_string fmt (to_string t)
 end
 
 module Port = struct
@@ -22,14 +31,16 @@ module Port = struct
   let none = 0xffff
   let is_physical p = p >= 1 && p < 0xff00
 
-  let pp fmt p =
-    if p = controller then Format.pp_print_string fmt "CONTROLLER"
-    else if p = flood then Format.pp_print_string fmt "FLOOD"
-    else if p = all then Format.pp_print_string fmt "ALL"
-    else if p = local then Format.pp_print_string fmt "LOCAL"
-    else if p = none then Format.pp_print_string fmt "NONE"
-    else if p = in_port then Format.pp_print_string fmt "IN_PORT"
-    else Format.pp_print_int fmt p
+  let to_string p =
+    if p = controller then "CONTROLLER"
+    else if p = flood then "FLOOD"
+    else if p = all then "ALL"
+    else if p = local then "LOCAL"
+    else if p = none then "NONE"
+    else if p = in_port then "IN_PORT"
+    else string_of_int p
+
+  let pp fmt p = Format.pp_print_string fmt (to_string p)
 end
 
 type xid = int

@@ -11,7 +11,9 @@ module Dpid : sig
   val equal : t -> t -> bool
   val hash : t -> int
   val pp : Format.formatter -> t -> unit
+
   val to_string : t -> string
+  (** ["of:"] and 16 lowercase hex digits, e.g. ["of:000000000000002a"]. *)
 end
 
 module Port : sig
@@ -38,6 +40,11 @@ module Port : sig
   (** 0xfff8 — send back out the ingress port *)
 
   val is_physical : t -> bool
+
+  val to_string : t -> string
+  (** The reserved ports by name (["CONTROLLER"], ["FLOOD"], ...),
+      every other port as its decimal number. *)
+
   val pp : Format.formatter -> t -> unit
 end
 

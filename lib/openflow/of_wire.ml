@@ -38,6 +38,7 @@ let wc_tp_dst = 1 lsl 7
 let wc_nw_tos = 1 lsl 21
 
 let vlan_none_wire = 0xFFFF
+let match_size = 40
 
 let encode_match w (m : Of_match.t) =
   let wildcards = ref 0 in
@@ -114,21 +115,29 @@ let decode_match r : Of_match.t =
 
 (* --- Action encoding --- *)
 
-let encode_action w : Of_action.t -> unit = function
-  | Output p ->
-      W.u16 w 0; W.u16 w 8; W.u16 w p; W.u16 w 0xFFFF (* max_len *)
-  | Set_vlan v -> W.u16 w 1; W.u16 w 8; W.u16 w v; W.u16 w 0
-  | Strip_vlan -> W.u16 w 3; W.u16 w 8; W.u32 w 0
-  | Set_dl_src m ->
-      W.u16 w 4; W.u16 w 16; W.u48 w (Addr.Mac.to_int m); W.zeros w 6
-  | Set_dl_dst m ->
-      W.u16 w 5; W.u16 w 16; W.u48 w (Addr.Mac.to_int m); W.zeros w 6
-  | Set_nw_src i -> W.u16 w 6; W.u16 w 8; W.u32 w (Addr.Ipv4.to_int i)
-  | Set_nw_dst i -> W.u16 w 7; W.u16 w 8; W.u32 w (Addr.Ipv4.to_int i)
-  | Set_tp_src p -> W.u16 w 9; W.u16 w 8; W.u16 w p; W.u16 w 0
-  | Set_tp_dst p -> W.u16 w 10; W.u16 w 8; W.u16 w p; W.u16 w 0
-  | Enqueue (p, q) ->
-      W.u16 w 11; W.u16 w 16; W.u16 w p; W.zeros w 6; W.u32 w q; W.zeros w 2
+(* The [len] field each action declares, and the bytes it writes. *)
+let action_size : Of_action.t -> int = function
+  | Output _ | Set_vlan _ | Strip_vlan | Set_nw_src _ | Set_nw_dst _
+  | Set_tp_src _ | Set_tp_dst _ ->
+      8
+  | Set_dl_src _ | Set_dl_dst _ | Enqueue _ -> 16
+
+let actions_size actions =
+  List.fold_left (fun n a -> n + action_size a) 0 actions
+
+let encode_action w (a : Of_action.t) =
+  let header ty = W.u16 w ty; W.u16 w (action_size a) in
+  match a with
+  | Output p -> header 0; W.u16 w p; W.u16 w 0xFFFF (* max_len *)
+  | Set_vlan v -> header 1; W.u16 w v; W.u16 w 0
+  | Strip_vlan -> header 3; W.u32 w 0
+  | Set_dl_src m -> header 4; W.u48 w (Addr.Mac.to_int m); W.zeros w 6
+  | Set_dl_dst m -> header 5; W.u48 w (Addr.Mac.to_int m); W.zeros w 6
+  | Set_nw_src i -> header 6; W.u32 w (Addr.Ipv4.to_int i)
+  | Set_nw_dst i -> header 7; W.u32 w (Addr.Ipv4.to_int i)
+  | Set_tp_src p -> header 9; W.u16 w p; W.u16 w 0
+  | Set_tp_dst p -> header 10; W.u16 w p; W.u16 w 0
+  | Enqueue (p, q) -> header 11; W.u16 w p; W.zeros w 6; W.u32 w q
 
 let decode_action r : Of_action.t =
   let ty = R.u16 r "action type" in
@@ -167,17 +176,14 @@ let decode_action r : Of_action.t =
       let p = R.u16 r "enqueue port" in
       R.skip r 6 "pad";
       let q = R.u32 r "queue id" in
-      R.skip r 2 "pad";
       Enqueue (p, q)
   | _ ->
       ignore len;
       invalid_arg (Printf.sprintf "Of_wire: unknown action type %d" ty)
 
 let encode_actions w actions =
-  let body = W.create () in
-  List.iter (encode_action body) actions;
-  W.u16 w (W.length body);
-  W.bytes w (W.contents body)
+  W.u16 w (actions_size actions);
+  List.iter (encode_action w) actions
 
 let decode_actions r =
   let len = R.u16 r "actions len" in
@@ -191,6 +197,32 @@ let buffer_wire = function None -> 0xFFFF_FFFF | Some b -> b
 let buffer_of_wire = function 0xFFFF_FFFF -> None | b -> Some b
 
 (* --- Message bodies --- *)
+
+(* Body bytes [encode_body] writes for each payload. [encode] takes the
+   header's length field from here, so the sizes and the encoder read
+   one layout. *)
+let body_size : Of_message.payload -> int = function
+  | Hello | Features_request | Barrier_request | Barrier_reply -> 0
+  | Error _ -> 4
+  | Echo_request s | Echo_reply s -> String.length s
+  | Features_reply fr -> 26 + (2 * List.length fr.ports)
+  | Packet_in pi -> 10 + Frame.encoded_length pi.frame
+  | Packet_out po ->
+      8 + actions_size po.po_actions
+      + (match po.po_frame with
+        | None -> 0
+        | Some frame -> Frame.encoded_length frame)
+  | Flow_mod fm -> match_size + 24 + actions_size fm.actions
+  | Flow_removed _ -> match_size + 40
+  | Port_status _ -> 11
+  | Stats_request (Flow_stats_request _) -> 4 + match_size
+  | Stats_request Table_stats_request -> 4
+  | Stats_reply (Flow_stats_reply stats) ->
+      List.fold_left
+        (fun n (fs : Of_message.flow_stat) ->
+          n + match_size + 20 + actions_size fs.fs_actions)
+        6 stats
+  | Stats_reply (Table_stats_reply _) -> 8
 
 let encode_body w : Of_message.payload -> unit = function
   | Hello | Features_request | Barrier_request | Barrier_reply -> ()
@@ -207,12 +239,11 @@ let encode_body w : Of_message.payload -> unit = function
       List.iter (fun p -> W.u16 w p) fr.ports
   | Packet_in pi ->
       W.u32 w (buffer_wire pi.buffer_id);
-      let data = Frame.encode pi.frame in
-      W.u16 w (String.length data);
+      W.u16 w (Frame.encoded_length pi.frame);
       W.u16 w pi.in_port;
       W.u8 w (match pi.reason with No_match -> 0 | Action_to_controller -> 1);
       W.u8 w 0;
-      W.bytes w data
+      W.bytes w (Frame.encode pi.frame)
   | Packet_out po ->
       W.u32 w (buffer_wire po.po_buffer_id);
       W.u16 w po.po_in_port;
@@ -419,15 +450,16 @@ let decode_body r ty : Of_message.payload =
   | 19 -> Barrier_reply
   | n -> invalid_arg (Printf.sprintf "Of_wire: unknown message type %d" n)
 
+let encoded_size (msg : Of_message.t) = header_size + body_size msg.payload
+
 let encode (msg : Of_message.t) =
-  let body = W.create () in
-  encode_body body msg.payload;
-  let w = W.create () in
+  let size = encoded_size msg in
+  let w = W.create ~size () in
   W.u8 w version;
   W.u8 w (type_code msg.payload);
-  W.u16 w (header_size + W.length body);
+  W.u16 w size;
   W.u32 w msg.xid;
-  W.bytes w (W.contents body);
+  encode_body w msg.payload;
   W.contents w
 
 let decode_one r : Of_message.t =
@@ -451,5 +483,3 @@ let decode_all s =
     if R.remaining r = 0 then List.rev acc else go (decode_one r :: acc)
   in
   go []
-
-let encoded_size msg = String.length (encode msg)

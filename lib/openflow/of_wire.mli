@@ -23,3 +23,6 @@ val header_size : int
 (** 8 bytes. *)
 
 val encoded_size : Of_message.t -> int
+(** [String.length (encode msg)], computed from the message layout
+    without encoding; {!encode} writes its length fields from the same
+    sizes. *)

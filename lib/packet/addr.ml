@@ -1,3 +1,24 @@
+let hex_digits = "0123456789abcdef"
+
+(* Decimal digits of [v] (0..255) at [pos]; returns the next position. *)
+let put_octet b pos v =
+  let put pos d = Bytes.unsafe_set b pos (Char.unsafe_chr (48 + d)) in
+  if v >= 100 then begin
+    put pos (v / 100);
+    put (pos + 1) (v / 10 mod 10);
+    put (pos + 2) (v mod 10);
+    pos + 3
+  end
+  else if v >= 10 then begin
+    put pos (v / 10);
+    put (pos + 1) (v mod 10);
+    pos + 2
+  end
+  else begin
+    put pos v;
+    pos + 1
+  end
+
 module Mac = struct
   type t = int
 
@@ -22,10 +43,15 @@ module Mac = struct
         (acc lsl 8) lor v)
       0 parts
 
+  (* "aa:bb:cc:dd:ee:ff": two lowercase hex digits per octet. *)
   let to_string t =
-    Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x"
-      ((t lsr 40) land 0xFF) ((t lsr 32) land 0xFF) ((t lsr 24) land 0xFF)
-      ((t lsr 16) land 0xFF) ((t lsr 8) land 0xFF) (t land 0xFF)
+    let b = Bytes.make 17 ':' in
+    for i = 0 to 5 do
+      let v = (t lsr (40 - (8 * i))) land 0xFF in
+      Bytes.unsafe_set b (3 * i) hex_digits.[v lsr 4];
+      Bytes.unsafe_set b ((3 * i) + 1) hex_digits.[v land 15]
+    done;
+    Bytes.unsafe_to_string b
 
   let pp fmt t = Format.pp_print_string fmt (to_string t)
   let compare = Int.compare
@@ -55,10 +81,18 @@ module Ipv4 = struct
         (acc lsl 8) lor v)
       0 parts
 
+  (* Dotted quad, each octet in decimal without leading zeros. *)
   let to_string t =
-    Printf.sprintf "%d.%d.%d.%d"
-      ((t lsr 24) land 0xFF) ((t lsr 16) land 0xFF) ((t lsr 8) land 0xFF)
-      (t land 0xFF)
+    let b = Bytes.create 15 in
+    let pos = ref 0 in
+    for i = 0 to 3 do
+      if i > 0 then begin
+        Bytes.unsafe_set b !pos '.';
+        incr pos
+      end;
+      pos := put_octet b !pos ((t lsr (24 - (8 * i))) land 0xFF)
+    done;
+    Bytes.sub_string b 0 !pos
 
   let pp fmt t = Format.pp_print_string fmt (to_string t)
   let compare = Int.compare

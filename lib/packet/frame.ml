@@ -139,31 +139,45 @@ let encode_l4 w = function
       u16 w 0
   | Other_l4 (_, body) -> Wire_buf.Writer.bytes w body
 
+(* --- Sizes, from the layout [encode] writes --- *)
+
+let l4_length = function
+  | Tcp _ -> 22 (* 20-byte header + the carried payload length *)
+  | Udp _ -> 8
+  | Icmp _ -> 4
+  | Other_l4 (_, body) -> String.length body
+
+let ipv4_header_length = 20
+
+let payload_length = function
+  | Arp _ -> 28
+  | Ipv4 ip -> ipv4_header_length + l4_length ip.l4
+  | Lldp l -> Lldp.encoded_length l
+  | Raw (_, body) -> String.length body
+
+let encoded_length t =
+  (match t.vlan with None -> 14 | Some _ -> 18) + payload_length t.payload
+
 let encode_ipv4 w (ip : ipv4) =
-  let open Wire_buf.Writer in
-  let header = Wire_buf.Writer.create () in
-  u8 header 0x45; (* v4, IHL 5 *)
-  u8 header (ip.dscp lsl 2);
-  u16 header 0; (* total length: patched below *)
-  u16 header 0; (* identification *)
-  u16 header 0x4000; (* DF *)
-  u8 header ip.ttl;
-  u8 header ip.proto;
-  u16 header 0; (* checksum placeholder *)
-  u32 header (Addr.Ipv4.to_int ip.src);
-  u32 header (Addr.Ipv4.to_int ip.dst);
-  let body = Wire_buf.Writer.create () in
-  encode_l4 body ip.l4;
-  let total = 20 + Wire_buf.Writer.length body in
-  patch_u16 header ~pos:2 total;
-  let csum = Wire_buf.internet_checksum (contents header) in
-  patch_u16 header ~pos:10 csum;
-  bytes w (contents header);
-  bytes w (contents body)
+  let h = Bytes.create ipv4_header_length in
+  Bytes.set_uint8 h 0 0x45; (* v4, IHL 5 *)
+  Bytes.set_uint8 h 1 ((ip.dscp lsl 2) land 0xFF);
+  Bytes.set_uint16_be h 2 ((ipv4_header_length + l4_length ip.l4) land 0xFFFF);
+  Bytes.set_uint16_be h 4 0; (* identification *)
+  Bytes.set_uint16_be h 6 0x4000; (* DF *)
+  Bytes.set_uint8 h 8 (ip.ttl land 0xFF);
+  Bytes.set_uint8 h 9 (ip.proto land 0xFF);
+  Bytes.set_uint16_be h 10 0; (* checksum, over the header with this zero *)
+  Bytes.set_int32_be h 12 (Int32.of_int (Addr.Ipv4.to_int ip.src));
+  Bytes.set_int32_be h 16 (Int32.of_int (Addr.Ipv4.to_int ip.dst));
+  Bytes.set_uint16_be h 10
+    (Wire_buf.internet_checksum (Bytes.unsafe_to_string h));
+  Wire_buf.Writer.bytes w (Bytes.unsafe_to_string h);
+  encode_l4 w ip.l4
 
 let encode t =
   let open Wire_buf.Writer in
-  let w = create () in
+  let w = create ~size:(encoded_length t) () in
   u48 w (Addr.Mac.to_int t.dl_dst);
   u48 w (Addr.Mac.to_int t.dl_src);
   (match t.vlan with
@@ -267,7 +281,7 @@ let decode s =
   { dl_src; dl_dst; vlan; payload }
 
 let size_on_wire t =
-  let base = String.length (encode t) in
+  let base = encoded_length t in
   match t.payload with
   | Ipv4 { l4 = Tcp { payload_len; _ }; _ } -> base + payload_len
   | Ipv4 { l4 = Udp { payload_len; _ }; _ } -> base + payload_len

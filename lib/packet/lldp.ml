@@ -12,8 +12,14 @@ let tlv_header w ~ty ~len =
   (* 7-bit type, 9-bit length. *)
   Wire_buf.Writer.u16 w ((ty lsl 9) lor (len land 0x1FF))
 
+(* Chassis ID (2 + 9), port ID (2 + 3), TTL (2 + 2), optional system
+   name (2 + its length) and end-of-LLDPDU (2): the TLVs [encode]
+   writes. *)
+let encoded_length t =
+  22 + match t.system_name with None -> 0 | Some name -> 2 + String.length name
+
 let encode t =
-  let w = Wire_buf.Writer.create () in
+  let w = Wire_buf.Writer.create ~size:(encoded_length t) () in
   (* Chassis ID TLV: subtype 7 (locally assigned) + 8-byte dpid. *)
   tlv_header w ~ty:1 ~len:9;
   Wire_buf.Writer.u8 w 7;

@@ -3,8 +3,7 @@ exception Truncated of string
 module Writer = struct
   type t = Buffer.t
 
-  let create () = Buffer.create 64
-  let length = Buffer.length
+  let create ?(size = 64) () = Buffer.create size
   let u8 t v = Buffer.add_char t (Char.chr (v land 0xFF))
 
   let u16 t v =
@@ -26,16 +25,6 @@ module Writer = struct
   let bytes = Buffer.add_string
   let zeros t n = Buffer.add_string t (String.make n '\000')
   let contents = Buffer.contents
-
-  let patch_u16 t ~pos v =
-    (* Buffer has no random-access write; rebuild via to_bytes. To keep
-       this O(1) amortised we only use it for small packets, which is
-       all this codebase produces. *)
-    let b = Buffer.to_bytes t in
-    Bytes.set b pos (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set b (pos + 1) (Char.chr (v land 0xFF));
-    Buffer.clear t;
-    Buffer.add_bytes t b
 end
 
 module Reader = struct

@@ -8,8 +8,10 @@ exception Truncated of string
 module Writer : sig
   type t
 
-  val create : unit -> t
-  val length : t -> int
+  val create : ?size:int -> unit -> t
+  (** [size] is the initial capacity in bytes (default 64); the
+      writer grows past it as needed. *)
+
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u32 : t -> int -> unit
@@ -18,10 +20,6 @@ module Writer : sig
   val bytes : t -> string -> unit
   val zeros : t -> int -> unit
   val contents : t -> string
-
-  val patch_u16 : t -> pos:int -> int -> unit
-  (** Overwrite two bytes at [pos] — used for length/checksum fields
-      known only after the body is written. *)
 end
 
 module Reader : sig

@@ -143,6 +143,52 @@ let test_values_hex_codec () =
       (Values.hex_decode noisy)
   done
 
+(* Keys against the Printf formulas they replaced. *)
+let oracle_dpid_key d = Printf.sprintf "%Lx" (Dpid.to_int64 d)
+
+let oracle_flow_key dpid m ~priority =
+  Printf.sprintf "%s/%s" (oracle_dpid_key dpid)
+    (Digest.to_hex
+       (Digest.string
+          (Test_openflow.oracle_match_to_string m ^ string_of_int priority)))
+
+let test_values_keys_vs_oracle () =
+  let dpids =
+    List.map Dpid.of_int64
+      [ 0L; 1L; 0xfL; 0x10L; 24L; -1L; -24L; Int64.min_int; Int64.max_int ]
+  in
+  List.iter
+    (fun d ->
+      let want = oracle_dpid_key d in
+      Alcotest.(check string) "Master.key" want (Values.Master.key d);
+      Alcotest.(check string) "Switch.key" want (Values.Switch.key d);
+      Alcotest.(check (option int64)) "key parses back"
+        (Some (Dpid.to_int64 d))
+        (Option.map Dpid.to_int64 (Values.parse_dpid_key want));
+      Alcotest.(check string) "Host.value"
+        (Printf.sprintf "%s:%d:%s" want 7 (Ipv4.to_string (Ipv4.of_host_index 3)))
+        (Values.Host.value ~dpid:d ~port:7 ~ip:(Ipv4.of_host_index 3));
+      let other = Dpid.of_int 5 in
+      let s1 = Printf.sprintf "%s:%d" want 2
+      and s2 = Printf.sprintf "%s:%d" (oracle_dpid_key other) 9 in
+      Alcotest.(check string) "Link.key"
+        (if String.compare s1 s2 <= 0 then s1 ^ "--" ^ s2 else s2 ^ "--" ^ s1)
+        (Values.Link.key (d, 2) (other, 9));
+      let m = Of_match.l2_pair ~src:(Mac.of_host_index 1) ~dst:(Mac.of_host_index 2) in
+      Alcotest.(check string) "Flow.key" (oracle_flow_key d m ~priority:100)
+        (Values.Flow.key d m ~priority:100))
+    dpids
+
+let prop_flow_key_vs_oracle =
+  QCheck.Test.make ~name:"Values.Flow.key matches the old key formula"
+    ~count:1000
+    QCheck.(
+      triple (make Test_openflow.gen_any_match) (make Gen.ui64)
+        (make Gen.(int_bound 0xFFFF)))
+    (fun (m, d, priority) ->
+      let dpid = Dpid.of_int64 d in
+      Values.Flow.key dpid m ~priority = oracle_flow_key dpid m ~priority)
+
 let test_values_switch_master () =
   let v = Values.Switch.value_connected ~master:4 ~ports:[ 3; 1; 2 ] in
   (match Values.Switch.parse v with
@@ -680,6 +726,8 @@ let suite =
     ("values: flow", `Quick, test_values_flow);
     ("values: switch/master", `Quick, test_values_switch_master);
     ("values: hex codec vs oracle", `Quick, test_values_hex_codec);
+    ("values: keys vs Printf oracle", `Quick, test_values_keys_vs_oracle);
+    QCheck_alcotest.to_alcotest prop_flow_key_vs_oracle;
     ("taints", `Quick, test_taint);
     ("response fingerprints", `Quick, test_fingerprints);
     ("pipeline serial service", `Quick, test_pipeline_serial_service);

@@ -57,13 +57,29 @@ let test_encap_roundtrip () =
   (match Jury.Encap.decapsulate outer with
   | Some inner' -> check_bool "roundtrip" true (Of_message.equal inner inner')
   | None -> Alcotest.fail "decap failed");
-  check_bool "overhead positive" true (Jury.Encap.overhead_bytes inner > 0);
+  check_bool "overhead positive" true (Jury.Encap.overhead_bytes > 0);
   (* A normal PACKET_IN is not an encapsulation. *)
   check_bool "plain not decapsulated" true
     (Jury.Encap.decapsulate
        { Of_message.buffer_id = None; in_port = 1;
          reason = Of_message.No_match; frame }
     = None)
+
+(* The constant overhead is what encoding the encapsulated copy and the
+   original and subtracting gave, for every message kind. *)
+let prop_encap_overhead =
+  QCheck.Test.make ~name:"encapsulation overhead is the outer - inner size"
+    ~count:500
+    (QCheck.make Test_openflow.gen_payload)
+    (fun payload ->
+      let inner = Of_message.make ~xid:3 payload in
+      let outer =
+        Of_message.make ~xid:0
+          (Of_message.Packet_in (Jury.Encap.encapsulate inner))
+      in
+      String.length (Jury_openflow.Of_wire.encode outer)
+      - String.length (Jury_openflow.Of_wire.encode inner)
+      = Jury.Encap.overhead_bytes)
 
 (* --- Validator with synthetic responses --- *)
 
@@ -1082,6 +1098,7 @@ let suite =
   [ ("snapshot order-insensitive", `Quick, test_snapshot_order_insensitive);
     ("snapshot content-sensitive", `Quick, test_snapshot_content_sensitive);
     ("encapsulation roundtrip", `Quick, test_encap_roundtrip);
+    QCheck_alcotest.to_alcotest prop_encap_overhead;
     ("validator happy path", `Quick, test_validator_happy_path);
     ("validator consensus mismatch", `Quick, test_validator_consensus_mismatch);
     ("validator dissenting secondary", `Quick, test_validator_dissenting_secondary);

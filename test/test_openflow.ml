@@ -115,9 +115,14 @@ let test_action_vlan () =
 
 (* --- Wire codec --- *)
 
+(* Encode, check the size computed from the layout against the
+   encoding, decode, compare. *)
 let roundtrip payload =
   let msg = Of_message.make ~xid:99 payload in
-  let msg' = Of_wire.decode (Of_wire.encode msg) in
+  let wire = Of_wire.encode msg in
+  check_int "Of_wire.encoded_size" (String.length wire)
+    (Of_wire.encoded_size msg);
+  let msg' = Of_wire.decode wire in
   Of_message.equal msg msg'
 
 let test_wire_simple_messages () =
@@ -197,6 +202,242 @@ let test_wire_bad_length () =
           Alcotest.(check string) "error message" expected msg
       | _ -> Alcotest.failf "length %d accepted" len)
     [ 0; 7 ]
+
+(* Every action writes exactly the [len] it declares: OF 1.0 lays
+   actions end to end, so a stray byte shifts every later one. *)
+let all_actions =
+  [ Of_action.Output 1; Of_action.Set_dl_src (fst (host 1));
+    Of_action.Set_dl_dst (fst (host 2)); Of_action.Set_nw_src (snd (host 3));
+    Of_action.Set_nw_dst (snd (host 4)); Of_action.Set_tp_src 1234;
+    Of_action.Set_tp_dst 80; Of_action.Set_vlan 7; Of_action.Strip_vlan;
+    Of_action.Enqueue (3, 0xDEAD) ]
+
+let test_action_declared_len () =
+  List.iter
+    (fun a ->
+      let payload =
+        Of_message.Packet_out
+          { po_buffer_id = None; po_in_port = 1; po_actions = [ a ];
+            po_frame = None }
+      in
+      let wire = Of_wire.encode (Of_message.make ~xid:1 payload) in
+      (* OF header (8), buffer id (4), in_port (2), actions length (2),
+         then the action: type (2), len (2), body. *)
+      let action = String.sub wire 16 (String.length wire - 16) in
+      let declared = (Char.code action.[2] lsl 8) lor Char.code action.[3] in
+      let name = Format.asprintf "%a" Of_action.pp a in
+      check_int (name ^ " writes its declared len") declared
+        (String.length action);
+      check_bool (name ^ " roundtrip") true (roundtrip payload))
+    all_actions
+
+(* --- Printers against the Format/Printf code they replaced --- *)
+
+let oracle_port_pp fmt p =
+  if p = Of_types.Port.controller then Format.pp_print_string fmt "CONTROLLER"
+  else if p = Of_types.Port.flood then Format.pp_print_string fmt "FLOOD"
+  else if p = Of_types.Port.all then Format.pp_print_string fmt "ALL"
+  else if p = Of_types.Port.local then Format.pp_print_string fmt "LOCAL"
+  else if p = Of_types.Port.none then Format.pp_print_string fmt "NONE"
+  else if p = Of_types.Port.in_port then Format.pp_print_string fmt "IN_PORT"
+  else Format.pp_print_int fmt p
+
+let oracle_mac_pp fmt m =
+  Format.pp_print_string fmt (Test_packet.oracle_mac_to_string (Mac.to_int m))
+
+let oracle_ipv4_pp fmt a =
+  Format.pp_print_string fmt (Test_packet.oracle_ipv4_to_string (Ipv4.to_int a))
+
+let oracle_match_pp fmt (t : Of_match.t) =
+  let first = ref true in
+  let field name pp_v = function
+    | None -> ()
+    | Some v ->
+        if not !first then Format.pp_print_string fmt ",";
+        first := false;
+        Format.fprintf fmt "%s=%a" name pp_v v
+  in
+  Format.pp_print_string fmt "{";
+  field "in_port" oracle_port_pp t.in_port;
+  field "dl_src" oracle_mac_pp t.dl_src;
+  field "dl_dst" oracle_mac_pp t.dl_dst;
+  field "dl_vlan"
+    (fun fmt -> function
+      | None -> Format.pp_print_string fmt "untagged"
+      | Some v -> Format.pp_print_int fmt v)
+    t.dl_vlan;
+  field "dl_type" (fun fmt v -> Format.fprintf fmt "0x%04x" v) t.dl_type;
+  field "nw_src"
+    (fun fmt (p, b) -> Format.fprintf fmt "%a/%d" oracle_ipv4_pp p b)
+    t.nw_src;
+  field "nw_dst"
+    (fun fmt (p, b) -> Format.fprintf fmt "%a/%d" oracle_ipv4_pp p b)
+    t.nw_dst;
+  field "nw_proto" Format.pp_print_int t.nw_proto;
+  field "nw_tos" Format.pp_print_int t.nw_tos;
+  field "tp_src" Format.pp_print_int t.tp_src;
+  field "tp_dst" Format.pp_print_int t.tp_dst;
+  if !first then Format.pp_print_string fmt "*";
+  Format.pp_print_string fmt "}"
+
+let oracle_match_to_string m = Format.asprintf "%a" oracle_match_pp m
+
+let named_ports =
+  Of_types.Port.
+    [ controller; flood; all; local; none; in_port ]
+
+(* Matches over all eleven optional fields, each present or wildcarded
+   independently: every named port, untagged and tagged VLANs, and
+   [dl_type] values narrower and wider than four hex digits. *)
+let gen_any_match =
+  let open QCheck.Gen in
+  let mac = map Mac.of_int (int_bound 0xFFFF_FFFF) in
+  let prefix =
+    pair (map Ipv4.of_int (int_bound 0xFFFF_FFFF)) (int_bound 32)
+  in
+  let small = int_bound 0xFFFF in
+  let int_field =
+    oneof [ small; int_bound 255; return 0; return (-1); return max_int ]
+  in
+  let dl_type =
+    oneof
+      [ oneofl [ 0x0800; 0x0806; 0x88CC; 0; 0xF; 0x1_0000; -1; min_int ];
+        small; int_bound 0xF_FFFF ]
+  in
+  let port = oneof [ oneofl named_ports; int_range 0 0xFFFF ] in
+  let vlan = oneof [ return None; map Option.some (int_bound 0xFFF) ] in
+  map
+    (fun ((in_port, dl_src, dl_dst, dl_vlan),
+          (dl_type, nw_src, nw_dst, nw_proto),
+          (nw_tos, tp_src, tp_dst)) : Of_match.t ->
+      { in_port; dl_src; dl_dst; dl_vlan; dl_type; nw_src; nw_dst; nw_proto;
+        nw_tos; tp_src; tp_dst })
+    (triple
+       (quad (opt port) (opt mac) (opt mac) (opt vlan))
+       (quad (opt dl_type) (opt prefix) (opt prefix) (opt int_field))
+       (triple (opt int_field) (opt int_field) (opt int_field)))
+
+let prop_match_printer =
+  QCheck.Test.make ~name:"Of_match.to_string matches the Format printer"
+    ~count:2000 (QCheck.make gen_any_match)
+    (fun m -> Of_match.to_string m = oracle_match_to_string m)
+
+let test_printer_edges () =
+  let check_match m =
+    Alcotest.(check string) "Of_match.to_string" (oracle_match_to_string m)
+      (Of_match.to_string m)
+  in
+  check_match Of_match.wildcard_all;
+  check_match (Of_match.exact_of_frame ~in_port:3 (tcp_frame ()));
+  check_match { Of_match.wildcard_all with Of_match.dl_vlan = Some None };
+  List.iter
+    (fun p ->
+      check_match { Of_match.wildcard_all with Of_match.in_port = Some p };
+      Alcotest.(check string) "Port.to_string"
+        (Format.asprintf "%a" oracle_port_pp p)
+        (Of_types.Port.to_string p))
+    (named_ports @ [ 0; 1; 48; 0xff00; 0xfff7; 0xffff + 1; -1 ]);
+  List.iter
+    (fun d ->
+      let dpid = Of_types.Dpid.of_int64 d in
+      Alcotest.(check string) "Dpid.to_string"
+        (Printf.sprintf "of:%016Lx" d)
+        (Of_types.Dpid.to_string dpid);
+      Alcotest.(check string) "Dpid.pp" (Printf.sprintf "of:%016Lx" d)
+        (Format.asprintf "%a" Of_types.Dpid.pp dpid))
+    [ 0L; 1L; 42L; -1L; -42L; 0xFFFFL; Int64.min_int; Int64.max_int ]
+
+(* --- Sizes from the layout, over every message constructor --- *)
+
+let gen_action =
+  let open QCheck.Gen in
+  let mac = map Mac.of_int (int_bound 0xFFFF_FFFF) in
+  let ip = map Ipv4.of_int (int_bound 0xFFFF_FFFF) in
+  let port = int_bound 0xFFFF in
+  oneof
+    [ map (fun p -> Of_action.Output p) port;
+      map (fun m -> Of_action.Set_dl_src m) mac;
+      map (fun m -> Of_action.Set_dl_dst m) mac;
+      map (fun i -> Of_action.Set_nw_src i) ip;
+      map (fun i -> Of_action.Set_nw_dst i) ip;
+      map (fun p -> Of_action.Set_tp_src p) port;
+      map (fun p -> Of_action.Set_tp_dst p) port;
+      map (fun v -> Of_action.Set_vlan v) (int_bound 0xFFF);
+      return Of_action.Strip_vlan;
+      map2 (fun p q -> Of_action.Enqueue (p, q)) port (int_bound 0xFFFF_FFFF) ]
+
+(* Every [Of_message.payload] constructor, including both stats
+   requests and replies and PACKET_INs and PACKET_OUTs carrying every
+   frame shape. *)
+let gen_payload =
+  let open QCheck.Gen in
+  let actions = list_size (int_bound 5) gen_action in
+  let frame = Test_packet.gen_any_frame in
+  let buffer = opt (int_bound 0xFFFF) in
+  let bytes = string_size ~gen:char (int_bound 40) in
+  let flow_stat =
+    map3
+      (fun fs_match (fs_priority, fs_cookie) (fs_actions, fs_packet_count) :
+           Of_message.flow_stat ->
+        { fs_match; fs_priority; fs_cookie; fs_actions; fs_packet_count })
+      gen_any_match (pair (int_bound 0xFFFF) ui64) (pair actions ui64)
+  in
+  oneof
+    [ oneofl
+        Of_message.
+          [ Hello; Features_request; Barrier_request; Barrier_reply;
+            Stats_request Table_stats_request ];
+      map (fun s -> Of_message.Echo_request s) bytes;
+      map (fun s -> Of_message.Echo_reply s) bytes;
+      map2 (fun t c -> Of_message.Error (t, c)) (int_bound 5) (int_bound 8);
+      map2
+        (fun d ports ->
+          Of_message.Features_reply
+            { datapath_id = Of_types.Dpid.of_int64 d; n_buffers = 256;
+              n_tables = 1; ports })
+        ui64
+        (list_size (int_bound 30) (int_bound 0xFFFF));
+      map3
+        (fun buffer_id in_port frame ->
+          Of_message.Packet_in
+            { buffer_id; in_port; reason = Of_message.No_match; frame })
+        buffer (int_bound 0xFFFF) frame;
+      map3
+        (fun (po_buffer_id, po_in_port) po_actions po_frame ->
+          Of_message.Packet_out
+            { po_buffer_id; po_in_port; po_actions; po_frame })
+        (pair buffer (int_bound 0xFFFF))
+        actions (opt frame);
+      map3
+        (fun m priority acts -> Of_message.Flow_mod
+            (Of_message.flow_mod ~priority m acts))
+        gen_any_match (int_bound 0xFFFF) actions;
+      map2
+        (fun fr_match (fr_priority, packet_count) ->
+          Of_message.Flow_removed
+            { fr_match; fr_cookie = 7L; fr_priority;
+              fr_reason = Of_message.Idle_timeout; duration_sec = 3;
+              packet_count; byte_count = 1500L })
+        gen_any_match (pair (int_bound 0xFFFF) ui64);
+      map2
+        (fun ps_port ps_link_up ->
+          Of_message.Port_status
+            { ps_reason = Of_message.Port_modify; ps_port; ps_link_up })
+        (int_bound 0xFFFF) bool;
+      map (fun m -> Of_message.Stats_request (Of_message.Flow_stats_request m))
+        gen_any_match;
+      map
+        (fun stats -> Of_message.Stats_reply (Of_message.Flow_stats_reply stats))
+        (list_size (int_bound 4) flow_stat);
+      map (fun n -> Of_message.Stats_reply (Of_message.Table_stats_reply n))
+        (int_bound 0xFFFF) ]
+
+let prop_encoded_size =
+  QCheck.Test.make ~name:"Of_wire.encoded_size = length of encode" ~count:2000
+    (QCheck.make gen_payload)
+    (fun payload ->
+      let msg = Of_message.make ~xid:5 payload in
+      Of_wire.encoded_size msg = String.length (Of_wire.encode msg))
 
 (* --- Error codes --- *)
 
@@ -440,6 +681,8 @@ let suite =
     ("wire flow mod", `Quick, test_wire_flow_mod);
     ("wire stream deframing", `Quick, test_wire_stream);
     ("wire rejects short length field", `Quick, test_wire_bad_length);
+    ("every action writes its declared len", `Quick, test_action_declared_len);
+    ("printers vs Format/Printf: edges", `Quick, test_printer_edges);
     ("table priority", `Quick, test_table_priority);
     ("table add replaces", `Quick, test_table_add_replaces);
     ("table modify", `Quick, test_table_modify);
@@ -453,4 +696,6 @@ let suite =
      test_table_exact_index_with_wildcard_override);
     ("error codes", `Quick, test_error_codes);
     QCheck_alcotest.to_alcotest prop_flow_mod_roundtrip;
-    QCheck_alcotest.to_alcotest prop_match_strip_idempotent ]
+    QCheck_alcotest.to_alcotest prop_match_strip_idempotent;
+    QCheck_alcotest.to_alcotest prop_match_printer;
+    QCheck_alcotest.to_alcotest prop_encoded_size ]

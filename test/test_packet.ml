@@ -68,15 +68,6 @@ let test_reader_truncated () =
   Alcotest.check_raises "truncated" (Wire_buf.Truncated "field") (fun () ->
       ignore (Wire_buf.Reader.u16 r "field"))
 
-let test_patch_u16 () =
-  let w = Wire_buf.Writer.create () in
-  Wire_buf.Writer.u16 w 0;
-  Wire_buf.Writer.u16 w 0x5678;
-  Wire_buf.Writer.patch_u16 w ~pos:0 0x1234;
-  let r = Wire_buf.Reader.of_string (Wire_buf.Writer.contents w) in
-  check_int "patched" 0x1234 (Wire_buf.Reader.u16 r "t");
-  check_int "untouched" 0x5678 (Wire_buf.Reader.u16 r "t")
-
 let test_checksum () =
   (* RFC 1071 example: checksum of 0x0001 0xf203 0xf4f5 0xf6f7. *)
   let data = "\x00\x01\xf2\x03\xf4\xf5\xf6\xf7" in
@@ -85,17 +76,29 @@ let test_checksum () =
 
 (* --- LLDP --- *)
 
+(* Decode what [encode] wrote, first checking that the size computed
+   from the layout is the encoding's length. *)
+let decode_lldp l =
+  let wire = Lldp.encode l in
+  check_int "Lldp.encoded_length" (String.length wire) (Lldp.encoded_length l);
+  Lldp.decode wire
+
 let test_lldp_roundtrip () =
   let l = Lldp.make ~system_name:"ctrl-3" ~chassis_id:42L ~port_id:7 ~ttl:120 () in
-  let l' = Lldp.decode (Lldp.encode l) in
+  let l' = decode_lldp l in
   check_bool "roundtrip" true (Lldp.equal l l');
   let bare = Lldp.make ~chassis_id:1L ~port_id:1 ~ttl:1 () in
-  check_bool "no sysname roundtrip" true
-    (Lldp.equal bare (Lldp.decode (Lldp.encode bare)))
+  check_bool "no sysname roundtrip" true (Lldp.equal bare (decode_lldp bare))
 
 (* --- Frames --- *)
 
 let host i = (Mac.of_host_index i, Ipv4.of_host_index i)
+
+(* The frame counterpart of [decode_lldp]. *)
+let decode_frame f =
+  let wire = Frame.encode f in
+  check_int "Frame.encoded_length" (String.length wire) (Frame.encoded_length f);
+  Frame.decode wire
 
 let test_arp_frames () =
   let m0, i0 = host 0 and m1, i1 = host 1 in
@@ -104,8 +107,8 @@ let test_arp_frames () =
   check_int "ethertype" 0x0806 (Frame.ethertype req);
   let rep = Frame.arp_reply ~sender:(m1, i1) ~target:(m0, i0) in
   check_bool "reply unicast" true (Mac.equal rep.Frame.dl_dst m0);
-  check_bool "arp roundtrip" true (Frame.equal req (Frame.decode (Frame.encode req)));
-  check_bool "reply roundtrip" true (Frame.equal rep (Frame.decode (Frame.encode rep)))
+  check_bool "arp roundtrip" true (Frame.equal req (decode_frame req));
+  check_bool "reply roundtrip" true (Frame.equal rep (decode_frame rep))
 
 let test_tcp_frame () =
   let s = host 0 and d = host 1 in
@@ -114,7 +117,7 @@ let test_tcp_frame () =
       ~src_port:1234 ~dst_port:80 ()
   in
   check_int "ethertype" 0x0800 (Frame.ethertype f);
-  let f' = Frame.decode (Frame.encode f) in
+  let f' = decode_frame f in
   check_bool "tcp roundtrip" true (Frame.equal f f');
   (match f'.Frame.payload with
   | Frame.Ipv4 { l4 = Frame.Tcp t; _ } ->
@@ -128,14 +131,14 @@ let test_udp_frame () =
     Frame.udp_packet ~payload_len:99 ~src:(host 2) ~dst:(host 3) ~src_port:53
       ~dst_port:5353 ()
   in
-  let f' = Frame.decode (Frame.encode f) in
+  let f' = decode_frame f in
   check_bool "udp roundtrip" true (Frame.equal f f')
 
 let test_lldp_frame () =
   let lldp = Lldp.make ~chassis_id:9L ~port_id:2 ~ttl:120 () in
   let f = Frame.lldp_frame ~src:(Mac.of_host_index 77) lldp in
   check_int "ethertype" 0x88CC (Frame.ethertype f);
-  let f' = Frame.decode (Frame.encode f) in
+  let f' = decode_frame f in
   (match f'.Frame.payload with
   | Frame.Lldp l -> check_bool "lldp payload" true (Lldp.equal l lldp)
   | _ -> Alcotest.fail "wrong payload")
@@ -145,7 +148,7 @@ let test_vlan_frame () =
     { (Frame.tcp_packet ~src:(host 0) ~dst:(host 1) ~src_port:1 ~dst_port:2 ())
       with Frame.vlan = Some 42 }
   in
-  let f' = Frame.decode (Frame.encode f) in
+  let f' = decode_frame f in
   Alcotest.(check (option int)) "vlan preserved" (Some 42) f'.Frame.vlan
 
 let test_garbage_rejected () =
@@ -168,7 +171,7 @@ let test_icmp_frame () =
             dscp = 0;
             l4 = Frame.Icmp { ty = 8; code = 0 } } }
   in
-  let f' = Frame.decode (Frame.encode f) in
+  let f' = decode_frame f in
   check_bool "icmp roundtrip" true (Frame.equal f f')
 
 let test_raw_payload () =
@@ -178,7 +181,7 @@ let test_raw_payload () =
       vlan = None;
       payload = Frame.Raw (0x9999, "opaque-bytes") }
   in
-  let f' = Frame.decode (Frame.encode f) in
+  let f' = decode_frame f in
   (match f'.Frame.payload with
   | Frame.Raw (ty, body) ->
       check_int "ethertype kept" 0x9999 ty;
@@ -244,7 +247,136 @@ let gen_frame =
 let prop_frame_roundtrip =
   QCheck.Test.make ~name:"frame encode/decode roundtrip" ~count:300
     (QCheck.make gen_frame)
-    (fun f -> Frame.equal f (Frame.decode (Frame.encode f)))
+    (fun f ->
+      let wire = Frame.encode f in
+      Frame.encoded_length f = String.length wire
+      && Frame.equal f (Frame.decode wire))
+
+(* --- Sizes from the layout, over every payload shape --- *)
+
+(* Frames of every payload constructor, tagged and untagged, including
+   LLDP with and without a system name and opaque [Other_l4]/[Raw]
+   bodies. Not all of them decode back (an [Other_l4] body is not
+   re-parsed), so this generator feeds only size properties. *)
+let gen_any_frame =
+  let open QCheck.Gen in
+  let mac = map Mac.of_int (int_bound 0xFFFF_FFFF) in
+  let ip = map Ipv4.of_int (int_bound 0xFFFF_FFFF) in
+  let port = int_bound 65_535 in
+  let body = string_size ~gen:char (int_bound 80) in
+  let ipv4 l4 =
+    map3
+      (fun (src, dst) (proto, ttl) (dscp, l4) ->
+        Frame.Ipv4 { src; dst; proto; ttl; dscp; l4 })
+      (pair ip ip) (pair (int_bound 255) (int_bound 255))
+      (pair (int_bound 63) l4)
+  in
+  let tcp =
+    map3
+      (fun (src_port, dst_port) (seq, ack) (flags, payload_len) ->
+        Frame.Tcp
+          { src_port; dst_port; seq; ack; flags; window = 65_535;
+            payload_len })
+      (pair port port)
+      (pair (int_bound 0xFFFF_FFFF) (int_bound 0xFFFF_FFFF))
+      (pair (int_bound 255) (int_bound 1400))
+  in
+  let udp =
+    map2
+      (fun (src_port, dst_port) payload_len ->
+        Frame.Udp { src_port; dst_port; payload_len })
+      (pair port port) (int_bound 1400)
+  in
+  let icmp =
+    map2 (fun ty code -> Frame.Icmp { ty; code }) (int_bound 255)
+      (int_bound 255)
+  in
+  let other = map2 (fun p b -> Frame.Other_l4 (p, b)) (int_range 18 255) body in
+  let arp =
+    map3
+      (fun op (sha, spa) (tha, tpa) -> Frame.Arp { op; sha; spa; tha; tpa })
+      (oneofl [ Frame.Request; Frame.Reply ])
+      (pair mac ip) (pair mac ip)
+  in
+  let lldp =
+    map3
+      (fun (chassis_id, port_id) ttl system_name ->
+        Frame.Lldp (Lldp.make ?system_name ~chassis_id ~port_id ~ttl ()))
+      (pair ui64 port) port
+      (opt (string_size ~gen:printable (int_bound 40)))
+  in
+  let raw = map2 (fun ty b -> Frame.Raw (ty, b)) (oneofl [ 0x9999; 0x86DD ]) body in
+  map3
+    (fun (dl_src, dl_dst) vlan payload -> { Frame.dl_src; dl_dst; vlan; payload })
+    (pair mac mac)
+    (opt (int_bound 0xFFF))
+    (oneof [ arp; ipv4 tcp; ipv4 udp; ipv4 icmp; ipv4 other; lldp; raw ])
+
+(* What the data plane charges for a frame: its encoding plus the
+   payload a TCP or UDP header stands for. *)
+let carried_bytes (f : Frame.t) =
+  match f.Frame.payload with
+  | Frame.Ipv4 { l4 = Frame.Tcp { payload_len; _ }; _ }
+  | Frame.Ipv4 { l4 = Frame.Udp { payload_len; _ }; _ } ->
+      payload_len
+  | _ -> 0
+
+let prop_frame_sizes =
+  QCheck.Test.make ~name:"frame sizes from the layout" ~count:1000
+    (QCheck.make gen_any_frame)
+    (fun f ->
+      let n = String.length (Frame.encode f) in
+      Frame.encoded_length f = n
+      && Frame.size_on_wire f = n + carried_bytes f
+      &&
+      match f.Frame.payload with
+      | Frame.Lldp l -> Lldp.encoded_length l = String.length (Lldp.encode l)
+      | _ -> true)
+
+(* --- Address printers against the Printf formulas they replaced --- *)
+
+let oracle_mac_to_string t =
+  Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x"
+    ((t lsr 40) land 0xFF) ((t lsr 32) land 0xFF) ((t lsr 24) land 0xFF)
+    ((t lsr 16) land 0xFF) ((t lsr 8) land 0xFF) (t land 0xFF)
+
+let oracle_ipv4_to_string t =
+  Printf.sprintf "%d.%d.%d.%d"
+    ((t lsr 24) land 0xFF) ((t lsr 16) land 0xFF) ((t lsr 8) land 0xFF)
+    (t land 0xFF)
+
+let check_mac_printer m =
+  check_str "Mac.to_string" (oracle_mac_to_string (Mac.to_int m))
+    (Mac.to_string m)
+
+let check_ipv4_printer a =
+  check_str "Ipv4.to_string" (oracle_ipv4_to_string (Ipv4.to_int a))
+    (Ipv4.to_string a)
+
+let test_addr_printer_edges () =
+  List.iter check_mac_printer
+    [ Mac.zero; Mac.broadcast; Mac.of_int 1; Mac.of_int 0x0A0B0C0D0E0F;
+      Mac.lldp_nearest_bridge; Mac.of_host_index 0; Mac.of_host_index 65_535 ];
+  List.iter check_ipv4_printer
+    [ Ipv4.any; Ipv4.broadcast; Ipv4.of_int 1; Ipv4.of_host_index 0;
+      Ipv4.of_string "9.10.99.100"; Ipv4.of_string "100.200.255.0" ];
+  (* Every octet value in every position, for both printers. *)
+  for v = 0 to 255 do
+    for pos = 0 to 5 do
+      check_mac_printer (Mac.of_int (v lsl (8 * pos)))
+    done;
+    for pos = 0 to 3 do
+      check_ipv4_printer (Ipv4.of_int (v lsl (8 * pos)))
+    done
+  done
+
+let prop_addr_printers =
+  QCheck.Test.make ~name:"address printers match Printf" ~count:2000
+    QCheck.(pair (make Gen.(int_bound 0xFFFF_FFFF)) (make Gen.(int_bound 0xFFFF)))
+    (fun (lo, hi) ->
+      let mac = Mac.of_int ((hi lsl 32) lor lo) and ip = Ipv4.of_int lo in
+      Mac.to_string mac = oracle_mac_to_string (Mac.to_int mac)
+      && Ipv4.to_string ip = oracle_ipv4_to_string (Ipv4.to_int ip))
 
 let suite =
   [ ("mac roundtrip", `Quick, test_mac_roundtrip);
@@ -254,7 +386,6 @@ let suite =
     ("ipv4 prefix match", `Quick, test_ipv4_prefix);
     ("wire writer/reader", `Quick, test_writer_reader);
     ("reader truncation", `Quick, test_reader_truncated);
-    ("patch u16", `Quick, test_patch_u16);
     ("internet checksum", `Quick, test_checksum);
     ("lldp roundtrip", `Quick, test_lldp_roundtrip);
     ("arp frames", `Quick, test_arp_frames);
@@ -267,4 +398,7 @@ let suite =
     ("raw payload", `Quick, test_raw_payload);
     ("mac distinctness", `Quick, test_mac_distinctness);
     ("ipv4 host index", `Quick, test_ipv4_host_index_wraps_safely);
-    QCheck_alcotest.to_alcotest prop_frame_roundtrip ]
+    ("address printers vs Printf: edges", `Quick, test_addr_printer_edges);
+    QCheck_alcotest.to_alcotest prop_frame_roundtrip;
+    QCheck_alcotest.to_alcotest prop_frame_sizes;
+    QCheck_alcotest.to_alcotest prop_addr_printers ]
