@@ -39,8 +39,8 @@ val taint_key : t -> string
     table hashes on. *)
 
 val body_name : body -> string
-(** Short stable label: ["execution"], ["status"], ["decap"] or
-    ["write-failure"]. *)
+(** Short stable label: ["execution/primary"], ["execution/secondary"],
+    ["cache-update"], ["network-write"] or ["write-failure"]. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line rendering: reporter, taint, body kind. *)

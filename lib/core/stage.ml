@@ -20,8 +20,8 @@
    rules, no election) and on {!Deployment.install} keeping traced runs
    serial. Under those gates the replica never calls back into
    main-domain state (the policy engine's [master_lookup] is the one
-   cross-domain read, and {!Validator.run_policy} short-circuits it
-   when no rules are installed) and never feeds anything back into the
+   cross-domain read, and the validator's policy check skips it when
+   no rules are installed) and never feeds anything back into the
    channel. *)
 
 open Jury_sim

@@ -7,6 +7,7 @@ module Of_message = Jury_openflow.Of_message
 module Of_match = Jury_openflow.Of_match
 module Of_action = Jury_openflow.Of_action
 module Dpid = Jury_openflow.Of_types.Dpid
+module Addr = Jury_packet.Addr
 
 (* Process-wide verdict tally across every validator on every domain —
    the bench's per-experiment verdict counts come from deltas of this.
@@ -26,13 +27,36 @@ let total_overloads () = Atomic.get global_overloads
 (* Floor of the adaptive validation timeout. *)
 let min_timeout = Time.ms 10
 
+(* One distinct cache event of a trigger, keyed by (origin, seq): its
+   first report and every controller that reported it, the origin and
+   its acking peers alike. *)
+type cache_slot = { event : Event.t; mutable reporters : int list }
+
+(* One distinct FLOW_MOD on the wire, keyed by (dpid, flow): its first
+   sender and every controller that reported it. *)
+type write_slot = {
+  sender : int;
+  dpid : Dpid.t;
+  flow : Of_message.flow_mod;
+  mutable senders : int list;
+}
+
+(* A trigger's response set is kept in typed slots, each in arrival
+   order and filled once per response by [add]. *)
 type pending = {
   taint : Types.Taint.t;
-  mutable trigger_at : Time.t;
+  trigger_at : Time.t;
   mutable primary : int option;
   mutable term : int;  (* leadership term; bumped when re-attributed *)
-  mutable secondaries : int list;
-  mutable responses : Response.t list;  (* newest first *)
+  secondaries : int list;
+  mutable awaiting : int list;  (* [secondaries] with no execution yet *)
+  mutable primary_execs : (int * (Response.t * Types.action list)) list;
+      (* the first [`Primary] execution per controller *)
+  mutable secondary_execs : (Response.t * Types.action list) list;
+  mutable cache_events : cache_slot list;
+  mutable net_writes : write_slot list;
+  mutable failures : (int * Types.action * string) list;
+      (* controller, refused write, reason *)
   mutable timer : Engine.handle option;
   mutable decided : bool;
   mutable retry_round : int;
@@ -165,97 +189,158 @@ let set_retransmit_handler t f = t.retransmit_handler <- f
 let on_response t f = t.response_observers <- f :: t.response_observers
 let on_verdict t f = t.verdict_observers <- f :: t.verdict_observers
 
-(* --- Response-set inspection helpers --- *)
+(* --- FLOW_MOD identity as the wire sees it --- *)
 
-let primary_execution p =
+(* Whether [Of_wire] encodes [a] and [b] to the same bytes, decided on
+   the structure without encoding either: integers compare in their
+   field's width, and an absent field compares as the value the encoder
+   writes for it ([out_port] [None] as [Port.none], no buffer as
+   0xffffffff, an untagged VLAN as 0xffff, no prefix as 0.0.0.0/0).
+   Prefix lengths are taken to lie in 0..32. *)
+let same_on_wire =
+  let bits n x y = (x lxor y) land ((1 lsl n) - 1) = 0 in
+  let opt eq a b =
+    match (a, b) with
+    | None, None -> true
+    | Some x, Some y -> eq x y
+    | _ -> false
+  in
+  let mac x y = bits 48 (Addr.Mac.to_int x) (Addr.Mac.to_int y) in
+  let ip x y = bits 32 (Addr.Ipv4.to_int x) (Addr.Ipv4.to_int y) in
+  let vid = function None -> 0xffff | Some v -> v in
+  let prefix a b =
+    let len = function None -> 0 | Some (_, n) -> n in
+    let addr = function None -> 0 | Some (p, _) -> Addr.Ipv4.to_int p in
+    len a = len b && bits 32 (addr a) (addr b)
+  in
+  let match_ (a : Of_match.t) (b : Of_match.t) =
+    opt (bits 16) a.in_port b.in_port
+    && opt mac a.dl_src b.dl_src
+    && opt mac a.dl_dst b.dl_dst
+    && opt (fun x y -> bits 16 (vid x) (vid y)) a.dl_vlan b.dl_vlan
+    && opt (bits 16) a.dl_type b.dl_type
+    && opt (bits 8) a.nw_tos b.nw_tos
+    && opt (bits 8) a.nw_proto b.nw_proto
+    && prefix a.nw_src b.nw_src
+    && prefix a.nw_dst b.nw_dst
+    && opt (bits 16) a.tp_src b.tp_src
+    && opt (bits 16) a.tp_dst b.tp_dst
+  in
+  let action (x : Of_action.t) (y : Of_action.t) =
+    match (x, y) with
+    | Output p, Output q
+    | Set_vlan p, Set_vlan q
+    | Set_tp_src p, Set_tp_src q
+    | Set_tp_dst p, Set_tp_dst q ->
+        bits 16 p q
+    | Set_dl_src m, Set_dl_src n | Set_dl_dst m, Set_dl_dst n -> mac m n
+    | Set_nw_src i, Set_nw_src j | Set_nw_dst i, Set_nw_dst j -> ip i j
+    | Strip_vlan, Strip_vlan -> true
+    | Enqueue (p, q), Enqueue (p', q') -> bits 16 p p' && bits 32 q q'
+    | _ -> false
+  in
+  let buffer = Option.value ~default:0xFFFF_FFFF in
+  let out_port = Option.value ~default:Jury_openflow.Of_types.Port.none in
+  fun (a : Of_message.flow_mod) (b : Of_message.flow_mod) ->
+    a.command = b.command
+    && Int64.equal a.cookie b.cookie
+    && bits 16 a.idle_timeout b.idle_timeout
+    && bits 16 a.hard_timeout b.hard_timeout
+    && bits 16 a.priority b.priority
+    && bits 32 (buffer a.fm_buffer_id) (buffer b.fm_buffer_id)
+    && bits 16 (out_port a.out_port) (out_port b.out_port)
+    && match_ a.fm_match b.fm_match
+    && List.compare_lengths a.actions b.actions = 0
+    && List.for_all2 action a.actions b.actions
+
+(* --- Folding a response into its trigger --- *)
+
+(* Record [r] in its slot, or return [false] if it is a stale channel
+   duplicate: a controller's second execution in the same role, or a
+   report it already made. The first delivery wins, so a duplicate can
+   never satisfy consensus or a quorum twice. Cache events are one slot
+   per (origin, seq) and wire writes one per (dpid, FLOW_MOD as the
+   wire sees it); a repeat from another controller joins the slot. *)
+let add p (r : Response.t) =
+  let c = r.controller in
+  match r.body with
+  | Response.Execution { role = `Primary; actions } ->
+      if List.mem_assoc c p.primary_execs then false
+      else begin
+        p.primary_execs <- p.primary_execs @ [ (c, (r, actions)) ];
+        true
+      end
+  | Response.Execution { role = `Secondary; actions } ->
+      if
+        List.exists
+          (fun ((q : Response.t), _) -> q.controller = c)
+          p.secondary_execs
+      then false
+      else begin
+        p.secondary_execs <- p.secondary_execs @ [ (r, actions) ];
+        p.awaiting <- List.filter (fun s -> s <> c) p.awaiting;
+        true
+      end
+  | Response.Cache_update ev -> (
+      match
+        List.find_opt
+          (fun s ->
+            s.event.Event.origin = ev.Event.origin
+            && s.event.Event.seq = ev.Event.seq)
+          p.cache_events
+      with
+      | Some s when List.mem c s.reporters -> false
+      | Some s ->
+          s.reporters <- c :: s.reporters;
+          true
+      | None ->
+          p.cache_events <-
+            p.cache_events @ [ { event = ev; reporters = [ c ] } ];
+          true)
+  | Response.Network_write { dpid; flow } -> (
+      match
+        List.find_opt
+          (fun w -> Dpid.equal w.dpid dpid && same_on_wire w.flow flow)
+          p.net_writes
+      with
+      | Some w when List.mem c w.senders -> false
+      | Some w ->
+          w.senders <- c :: w.senders;
+          true
+      | None ->
+          p.net_writes <-
+            p.net_writes @ [ { sender = c; dpid; flow; senders = [ c ] } ];
+          true)
+  | Response.Write_failure { action; reason } ->
+      let f = (c, action, reason) in
+      if List.mem f p.failures then false
+      else begin
+        p.failures <- p.failures @ [ f ];
+        true
+      end
+
+(* The current primary's execution. Attribution can move after it
+   arrived (see [reattribute]), so every controller's is kept. *)
+let primary_exec p =
   match p.primary with
   | None -> None
-  | Some primary ->
-      List.find_map
-        (fun (r : Response.t) ->
-          match r.body with
-          | Response.Execution { role = `Primary; actions }
-            when r.controller = primary ->
-              Some (r, actions)
-          | _ -> None)
-        (List.rev p.responses)
+  | Some id -> List.assoc_opt id p.primary_execs
 
-let secondary_executions p =
-  List.filter_map
-    (fun (r : Response.t) ->
-      match r.body with
-      | Response.Execution { role = `Secondary; actions } -> Some (r, actions)
-      | _ -> None)
-    (List.rev p.responses)
+(* The first distinct cache event externalising [origin]'s planned
+   write of [key] to [cache]. *)
+let event_for p ~origin cache key =
+  let cache = Names.normalize cache in
+  List.find_opt
+    (fun { event = ev; _ } ->
+      ev.Event.cache = cache && ev.Event.key = key && ev.Event.origin = origin)
+    p.cache_events
 
-(* Cache events deduplicated by (origin, seq); keeps the first report. *)
-let distinct_cache_events p =
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun (r : Response.t) ->
-      match r.body with
-      | Response.Cache_update ev ->
-          let key = (ev.Event.origin, ev.Event.seq) in
-          if Hashtbl.mem seen key then None
-          else begin
-            Hashtbl.add seen key ();
-            Some ev
-          end
-      | _ -> None)
-    (List.rev p.responses)
-
-(* Acks are counted per distinct controller: a duplicated delivery of
-   the same peer's ack must not satisfy the quorum twice. *)
-let ack_count p (ev : Event.t) =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (r : Response.t) ->
-      match r.body with
-      | Response.Cache_update e ->
-          if
-            e.Event.origin = ev.Event.origin
-            && e.Event.seq = ev.Event.seq
-            && r.controller <> ev.Event.origin
-          then Hashtbl.replace seen r.controller ()
-      | _ -> ())
-    p.responses;
-  Hashtbl.length seen
-
-(* Secondaries that never produced an Execution response. *)
-let stragglers p =
-  let execs =
-    List.filter_map
-      (fun (r : Response.t) ->
-        match r.body with
-        | Response.Execution { role = `Secondary; _ } -> Some r.controller
-        | _ -> None)
-      p.responses
-  in
-  List.filter (fun s -> not (List.mem s execs)) p.secondaries
-
-let network_writes p =
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun (r : Response.t) ->
-      match r.body with
-      | Response.Network_write { dpid; flow } ->
-          let key = (dpid, Values.Flow.value flow) in
-          if Hashtbl.mem seen key then None
-          else begin
-            Hashtbl.add seen key ();
-            Some (r.controller, dpid, flow)
-          end
-      | _ -> None)
-    (List.rev p.responses)
-
-let write_failures p =
-  List.filter_map
-    (fun (r : Response.t) ->
-      match r.body with
-      | Response.Write_failure { action; reason } ->
-          Some (r.controller, action, reason)
-      | _ -> None)
-    (List.rev p.responses)
+(* Acks are counted per distinct peer: a duplicated delivery of the same
+   peer's ack never reaches the slot twice. *)
+let acks s =
+  List.fold_left
+    (fun n c -> if c <> s.event.Event.origin then n + 1 else n)
+    0 s.reporters
 
 (* --- Completeness: can we decide before the timer? --- *)
 
@@ -278,38 +363,28 @@ let cache_writes actions =
     actions
 
 let complete t p =
-  match primary_execution p with
+  match primary_exec p with
   | None -> false
   | Some (prim_r, actions) ->
       let primary = prim_r.Response.controller in
-      List.length (secondary_executions p) >= List.length p.secondaries
-      && (let writes = cache_writes actions in
-          let events = distinct_cache_events p in
-          let peers = List.length (t.ack_peers_of primary) in
+      List.length p.secondary_execs >= List.length p.secondaries
+      && (let peers = List.length (t.ack_peers_of primary) in
           List.for_all
             (fun (cache, _, key, _) ->
-              match
-                List.find_opt
-                  (fun (ev : Event.t) ->
-                    ev.Event.cache = Names.normalize cache
-                    && ev.Event.key = key && ev.Event.origin = primary)
-                  events
-              with
+              match event_for p ~origin:primary cache key with
               | None -> false
-              | Some ev -> ack_count p ev >= peers)
-            writes)
-      &&
-      let sends = flow_mod_sends actions in
-      let nets = network_writes p in
-      List.for_all
-        (fun (dpid, (fm : Of_message.flow_mod)) ->
-          List.exists
-            (fun (_, d, (f : Of_message.flow_mod)) ->
-              Dpid.equal d dpid
-              && Of_match.equal f.fm_match fm.fm_match
-              && f.priority = fm.priority && f.command = fm.command)
-            nets)
-        sends
+              | Some s -> acks s >= peers)
+            (cache_writes actions))
+      && List.for_all
+           (fun (dpid, (fm : Of_message.flow_mod)) ->
+             List.exists
+               (fun w ->
+                 Dpid.equal w.dpid dpid
+                 && Of_match.equal w.flow.fm_match fm.fm_match
+                 && w.flow.priority = fm.priority
+                 && w.flow.command = fm.command)
+               p.net_writes)
+           (flow_mod_sends actions)
 
 (* --- Consensus --- *)
 
@@ -320,7 +395,7 @@ type consensus_result =
   | Unverifiable
 
 let run_consensus t p (prim_r : Response.t) prim_actions =
-  let secondaries = secondary_executions p in
+  let secondaries = p.secondary_execs in
   if secondaries = [] then
     if p.secondaries = [] then Agrees 1 (* nothing was replicated *)
     else Unverifiable
@@ -373,7 +448,7 @@ let run_consensus t p (prim_r : Response.t) prim_actions =
    state-aware consensus only replicas sharing a network view may form
    the quorum (§IV-C A still applies, just without the primary). *)
 let secondary_quorum t p =
-  match secondary_executions p with
+  match p.secondary_execs with
   | [] -> None
   | secs ->
       let groups =
@@ -418,6 +493,23 @@ let flows_equal (a : Of_message.flow_mod) (b : Of_message.flow_mod) =
   && Of_action.equal_list a.actions b.actions
   && a.command = b.command
 
+(* The (dpid, FLOW_MOD) a FLOWSDB write stores, if it parses. *)
+let flowsdb_entry cache key value =
+  if Names.normalize cache = Names.flowsdb then
+    match (Values.Flow.dpid_of_key key, Values.Flow.parse value) with
+    | Some dpid, Some fm -> Some (dpid, fm)
+    | _ -> None
+  else None
+
+(* Whether the FLOWSDB mirror already holds exactly [nfm] on [dpid]. *)
+let mirrored mirror dpid (nfm : Of_message.flow_mod) =
+  match
+    Hashtbl.find_opt mirror
+      (Values.Flow.key dpid nfm.fm_match ~priority:nfm.priority)
+  with
+  | Some cfm -> flows_equal cfm nfm
+  | None -> false
+
 (* When [plan] is given (degraded-quorum mode, after a timeout on a
    lossy channel) an inconsistency that the primary's own execution plan
    accounts for is excused: the observation was lost in transit, the
@@ -425,30 +517,22 @@ let flows_equal (a : Of_message.flow_mod) (b : Of_message.flow_mod) =
    the caller can either degrade the verdict or, if no quorum backs the
    plan, reinstate them as faults. *)
 let run_sanity ~mirror ?plan p ~origin =
-  let events = distinct_cache_events p in
   let cache_flows =
     List.filter_map
-      (fun (ev : Event.t) ->
+      (fun { event = ev; _ } ->
         if
-          ev.Event.cache = Names.flowsdb
-          && ev.Event.origin = origin
+          ev.Event.origin = origin
           && (ev.Event.op = Event.Create || ev.Event.op = Event.Update)
-        then
-          match
-            (Values.Flow.dpid_of_key ev.Event.key,
-             Values.Flow.parse ev.Event.value)
-          with
-          | Some dpid, Some fm -> Some (dpid, fm)
-          | _ -> None
+        then flowsdb_entry ev.Event.cache ev.Event.key ev.Event.value
         else None)
-      events
+      p.cache_events
   in
   let nets =
     List.filter
-      (fun (_, _, (fm : Of_message.flow_mod)) ->
-        fm.command = Of_message.Add || fm.command = Of_message.Modify
-        || fm.command = Of_message.Modify_strict)
-      (network_writes p)
+      (fun w ->
+        w.flow.command = Of_message.Add || w.flow.command = Of_message.Modify
+        || w.flow.command = Of_message.Modify_strict)
+      p.net_writes
   in
   let planned_sends =
     match plan with Some actions -> flow_mod_sends actions | None -> []
@@ -458,14 +542,7 @@ let run_sanity ~mirror ?plan p ~origin =
     | None -> []
     | Some actions ->
         List.filter_map
-          (fun (cache, _, key, value) ->
-            if Names.normalize cache = Names.flowsdb then
-              match
-                (Values.Flow.dpid_of_key key, Values.Flow.parse value)
-              with
-              | Some dpid, Some fm -> Some (dpid, fm)
-              | _ -> None
-            else None)
+          (fun (cache, _, key, value) -> flowsdb_entry cache key value)
           (cache_writes actions)
   in
   let faults = ref [] in
@@ -474,15 +551,13 @@ let run_sanity ~mirror ?plan p ~origin =
   let excuse f detail = excused := (f, detail) :: !excused in
   List.iter
     (fun (dpid, cfm) ->
-      let same_switch =
-        List.filter (fun (_, d, _) -> Dpid.equal d dpid) nets
-      in
       let same_match =
         List.filter
-          (fun (_, _, (nfm : Of_message.flow_mod)) ->
-            Of_match.equal nfm.fm_match cfm.Of_message.fm_match
-            && nfm.priority = cfm.Of_message.priority)
-          same_switch
+          (fun w ->
+            Dpid.equal w.dpid dpid
+            && Of_match.equal w.flow.fm_match cfm.Of_message.fm_match
+            && w.flow.priority = cfm.Of_message.priority)
+          nets
       in
       match same_match with
       | [] ->
@@ -497,17 +572,13 @@ let run_sanity ~mirror ?plan p ~origin =
             (Format.asprintf "no FLOW_MOD on wire for cache entry %a@%a"
                Of_match.pp cfm.Of_message.fm_match Dpid.pp dpid)
       | writes ->
-          if
-            not
-              (List.exists (fun (_, _, nfm) -> flows_equal nfm cfm) writes)
-          then
+          if not (List.exists (fun w -> flows_equal w.flow cfm) writes) then
             add Alarm.Cache_network_mismatch
               (Format.asprintf "cache and wire disagree for %a@%a"
                  Of_match.pp cfm.Of_message.fm_match Dpid.pp dpid))
     cache_flows;
   List.iter
-    (fun (sender, dpid, (nfm : Of_message.flow_mod)) ->
-      ignore sender;
+    (fun { dpid; flow = nfm; _ } ->
       let in_trigger =
         List.exists
           (fun (d, cfm) ->
@@ -515,15 +586,6 @@ let run_sanity ~mirror ?plan p ~origin =
             && Of_match.equal cfm.Of_message.fm_match nfm.fm_match
             && cfm.Of_message.priority = nfm.priority)
           cache_flows
-      in
-      let in_mirror () =
-        (* A FLOW_MOD re-sent for a rule the store already holds (e.g. a
-           reinstall after a switch-side timeout race) is consistent if
-           it matches the mirrored entry. *)
-        let key = Values.Flow.key dpid nfm.fm_match ~priority:nfm.priority in
-        match Hashtbl.find_opt mirror key with
-        | Some cfm -> flows_equal cfm nfm
-        | None -> false
       in
       let in_plan () =
         (* The primary's plan includes the backing cache write; only its
@@ -533,7 +595,10 @@ let run_sanity ~mirror ?plan p ~origin =
             Dpid.equal d dpid && flows_equal pfm nfm)
           planned_cache_flows
       in
-      if not (in_trigger || in_mirror ()) then
+      (* A FLOW_MOD re-sent for a rule the store already holds (e.g. a
+         reinstall after a switch-side timeout race) is consistent if it
+         matches the mirrored entry. *)
+      if not (in_trigger || mirrored mirror dpid nfm) then
         let report = if in_plan () then excuse else add in
         report Alarm.Network_without_cache
           (Format.asprintf "FLOW_MOD %a@%a has no cache backing" Of_match.pp
@@ -543,13 +608,13 @@ let run_sanity ~mirror ?plan p ~origin =
 
 (* --- Policy check --- *)
 
-let run_policy t p ~origin ~external_ actions =
+let run_policy t ~origin ~external_ actions =
   (* With no rules installed no query can match; skip building the
      query records entirely. Besides being a hot-path win, this keeps
      the policy-free validator from consulting [master_lookup] — which
      reads live cluster mastership — so pipeline replicas never touch
      main-domain state. *)
-  if Jury_policy.Engine.rule_count t.cfg.policies = 0 then (ignore p; [])
+  if Jury_policy.Engine.rule_count t.cfg.policies = 0 then []
   else
   let queries =
     List.filter_map
@@ -576,7 +641,6 @@ let run_policy t p ~origin ~external_ actions =
         | Types.Network_send _ -> None)
       actions
   in
-  ignore p;
   (* Per-response hot path: consult the compiled decision structure
      (memoised per engine generation — compiled once at Jury_config
      time), not the interpreter's rule-list scan. *)
@@ -594,7 +658,7 @@ let finish t p (verdict : Alarm.verdict) ~suspects ~detail =
   (match p.timer with Some h -> Engine.cancel h | None -> ());
   (match p.retry_timer with Some h -> Engine.cancel h | None -> ());
   p.retry_timer <- None;
-  let stragglers = stragglers p in
+  let stragglers = p.awaiting in
   t.n_stragglers <- t.n_stragglers + List.length stragglers;
   Hashtbl.remove t.pending (Types.Taint.to_string p.taint);
   let alarm =
@@ -650,8 +714,7 @@ let finish t p (verdict : Alarm.verdict) ~suspects ~detail =
 let evaluate t p ~timed_out =
   if not p.decided then begin
     let external_ = Types.Taint.is_external p.taint in
-    let failures = write_failures p in
-    match primary_execution p with
+    match primary_exec p with
     | None ->
         if timed_out then begin
           (* No execution record at all. If the trigger consists of
@@ -663,30 +726,25 @@ let evaluate t p ~timed_out =
              is decided with a reduced quorum. *)
           let stray =
             List.filter
-              (fun (_, dpid, (nfm : Of_message.flow_mod)) ->
-                let key =
-                  Values.Flow.key dpid nfm.fm_match ~priority:nfm.priority
-                in
-                match Hashtbl.find_opt t.flow_mirror key with
-                | Some cfm -> not (flows_equal cfm nfm)
-                | None -> true)
-              (network_writes p)
+              (fun w -> not (mirrored t.flow_mirror w.dpid w.flow))
+              p.net_writes
           in
           if stray <> [] then
             finish t p
               (Alarm.Faulty [ Alarm.Network_without_cache ])
-              ~suspects:(List.map (fun (sender, _, _) -> sender) stray)
-              ~detail:"FLOW_MOD on the wire with no cache backing and no                        response"
+              ~suspects:(List.map (fun w -> w.sender) stray)
+              ~detail:
+                "FLOW_MOD on the wire with no cache backing and no response"
           else begin
             let quorum =
               match t.cfg.degraded_quorum with
-              | Some q when external_ && failures = [] -> (
+              | Some q when external_ && p.failures = [] -> (
                   match secondary_quorum t p with
                   | Some (actions, n) when n >= q ->
                       let origin =
                         match p.primary with Some id -> id | None -> -1
                       in
-                      if run_policy t p ~origin ~external_ actions = [] then
+                      if run_policy t ~origin ~external_ actions = [] then
                         Some n
                       else None
                   | _ -> None)
@@ -724,24 +782,16 @@ let evaluate t p ~timed_out =
             faults := Alarm.Response_timeout :: !faults;
             suspects := ctrl :: !suspects;
             details := ("cache write failed: " ^ reason) :: !details)
-          failures;
+          p.failures;
         let degraded_mode =
           timed_out && external_ && t.cfg.degraded_quorum <> None
         in
         (* Timed-out evaluation with missing externalisation: the plan
            says a write should exist; did its cache event arrive? *)
-        if timed_out && failures = [] then begin
-          let events = distinct_cache_events p in
+        if timed_out && p.failures = [] then begin
           List.iter
             (fun (cache, _, key, _) ->
-              if
-                not
-                  (List.exists
-                     (fun (ev : Event.t) ->
-                       ev.Event.cache = Names.normalize cache
-                       && ev.Event.key = key && ev.Event.origin = origin)
-                     events)
-              then begin
+              if event_for p ~origin cache key = None then begin
                 omissions :=
                   (Alarm.Response_timeout, origin) :: !omissions;
                 details :=
@@ -792,7 +842,7 @@ let evaluate t p ~timed_out =
             faults := f :: !faults;
             suspects := origin :: !suspects;
             details := d :: !details)
-          (run_policy t p ~origin ~external_ prim_actions);
+          (run_policy t ~origin ~external_ prim_actions);
         (* Can a reduced quorum stand behind the plan? Only when no hard
            fault fired and the responses that did arrive all agree. *)
         let degraded_ok =
@@ -809,7 +859,7 @@ let evaluate t p ~timed_out =
               faults := f :: !faults;
               suspects := ctrl :: !suspects)
             (List.rev !omissions);
-        let missing = stragglers p in
+        let missing = p.awaiting in
         let detail = String.concat "; " (List.rev !details) in
         if !faults <> [] then
           finish t p
@@ -868,7 +918,7 @@ let rec arm_retry t p rt =
 and fire_retry t p (rt : Jury_config.retransmit) =
   p.retry_timer <- None;
   if not p.decided then begin
-    match stragglers p with
+    match p.awaiting with
     | [] -> () (* everyone answered; no more retries needed *)
     | missing ->
         List.iter
@@ -954,7 +1004,12 @@ let new_pending ~taint ~trigger_at ~primary ~term ~secondaries =
     primary;
     term;
     secondaries;
-    responses = [];
+    awaiting = secondaries;
+    primary_execs = [];
+    secondary_execs = [];
+    cache_events = [];
+    net_writes = [];
+    failures = [];
     timer = None;
     decided = false;
     retry_round = 0;
@@ -1032,22 +1087,6 @@ let update_flow_mirror t (r : Response.t) =
           | None -> ()))
   | _ -> ()
 
-(* A second Execution record from the same (controller, role) — or an
-   exact duplicate of any other body — is a stale channel duplicate: the
-   first delivery wins so a duplicated response can never satisfy
-   consensus twice or double-count toward a quorum. *)
-let duplicate_response p (r : Response.t) =
-  List.exists
-    (fun (q : Response.t) ->
-      q.Response.controller = r.Response.controller
-      &&
-      match (q.Response.body, r.Response.body) with
-      | ( Response.Execution { role = qr; _ },
-          Response.Execution { role = rr; _ } ) ->
-          qr = rr
-      | qb, rb -> qb = rb)
-    p.responses
-
 let deliver_inline t (r : Response.t) =
   (let tr = Engine.trace t.engine in
    if Jury_obs.Trace.enabled tr then
@@ -1060,8 +1099,9 @@ let deliver_inline t (r : Response.t) =
   match get_pending t r.taint with
   | None -> t.n_late <- t.n_late + 1
   | Some p ->
-      if duplicate_response p r then t.n_duplicates <- t.n_duplicates + 1
-      else if not p.decided then begin
+      (* [finish] drops a decided trigger from the table: [p] is live. *)
+      if not (add p r) then t.n_duplicates <- t.n_duplicates + 1
+      else begin
         (if p.primary = None then
            match Types.Taint.primary_of r.taint with
            | Some id -> p.primary <- Some id
@@ -1073,7 +1113,6 @@ let deliver_inline t (r : Response.t) =
                | Response.Write_failure _ ->
                    p.primary <- Some r.controller
                | _ -> ()));
-        p.responses <- r :: p.responses;
         arm_timer t p;
         if complete t p then begin
           observe_completion_latency t

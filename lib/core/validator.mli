@@ -76,8 +76,8 @@ val set_retransmit_handler : t -> (Types.Taint.t -> secondary:int -> unit) -> un
     stored trigger over its (lossy) channel. Default: no-op. *)
 
 val on_response : t -> (Response.t -> unit) -> unit
-(** Append an observer invoked for every delivered response (audit
-    trail, metrics); observers never affect validation. *)
+(** Append an observer invoked for every delivered response (metrics,
+    tracing); observers never affect validation. *)
 
 val on_verdict : t -> (Alarm.t -> unit) -> unit
 (** Append an observer invoked for every verdict, faulty or not, at

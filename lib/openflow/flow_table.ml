@@ -393,31 +393,4 @@ module Private = struct
   let packed_key_of_frame ~in_port frame =
     let k = index_key_of_frame ~in_port frame in
     (k.ka, k.kb)
-
-  (* The pre-packing key, kept verbatim as the reference the packed
-     key is tested against: both must classify the same matches as
-     indexable and agree on key equality. *)
-  let legacy_key_of_match (m : Of_match.t) =
-    match (m.in_port, m.dl_src, m.dl_dst, m.dl_type) with
-    | Some in_port, Some src, Some dst, Some ty -> (
-        let nw = function
-          | None -> Some (-1)
-          | Some (p, 32) -> Some (Jury_packet.Addr.Ipv4.to_int p)
-          | Some _ -> None
-        in
-        match (nw m.nw_src, nw m.nw_dst) with
-        | Some ns, Some nd ->
-            Some
-              (Printf.sprintf "%d|%d|%d|%d|%d|%d|%d|%d|%d" in_port
-                 (Jury_packet.Addr.Mac.to_int src)
-                 (Jury_packet.Addr.Mac.to_int dst)
-                 ty ns nd
-                 (Option.value m.nw_proto ~default:(-1))
-                 (Option.value m.tp_src ~default:(-1))
-                 (Option.value m.tp_dst ~default:(-1)))
-        | _ -> None)
-    | _ -> None
-
-  let legacy_key_of_frame ~in_port frame =
-    legacy_key_of_match (Of_match.exact_of_frame ~in_port frame)
 end

@@ -59,18 +59,14 @@ val find_exact : t -> Of_match.t -> priority:int -> entry option
 
 val pp : Format.formatter -> t -> unit
 
-(** Exposed for tests only: the packed two-word exact-index key and the
-    legacy string key it replaced. The packed key is a lossy
-    fingerprint, so the invariants under test are (1) both classify
-    exactly the same matches as indexable and (2) legacy-key equality
-    implies packed-key equality — bucket *verification* (not the key)
-    guarantees the reverse direction can only cost performance, never
-    correctness. *)
+(** Exposed for tests only: the packed two-word exact-index key. It is
+    a lossy fingerprint; test_par checks it against the string key it
+    replaced: (1) both classify exactly the same matches as indexable
+    and (2) string-key equality implies packed-key equality — bucket
+    *verification* (not the key) guarantees the reverse direction can
+    only cost performance, never correctness. *)
 module Private : sig
   val packed_key_of_match : Of_match.t -> (int * int) option
   val packed_key_of_frame :
     in_port:Of_types.Port.t -> Jury_packet.Frame.t -> int * int
-  val legacy_key_of_match : Of_match.t -> string option
-  val legacy_key_of_frame :
-    in_port:Of_types.Port.t -> Jury_packet.Frame.t -> string option
 end

@@ -495,6 +495,27 @@ let test_validator_network_without_cache () =
         | _ -> false)
   | _ -> Alcotest.fail "expected bypass alarm"
 
+(* The stray-write verdict's detail, pinned word for word: a FLOW_MOD
+   with no execution record at all, decided at flush. *)
+let test_validator_stray_write_detail () =
+  let _, v = mk_validator ~k:0 () in
+  let dpid = Dpid.of_int 1 in
+  let _, fmv = flow_for dpid in
+  Validator.deliver v
+    { Response.controller = 0;
+      taint = Types.Taint.internal_trigger ~origin:0 ~seq:1_000_001;
+      snapshot = Snapshot.pristine;
+      sent_at = Time.zero;
+      term = 0;
+      body = Response.Network_write { dpid; flow = fmv } };
+  Validator.flush v;
+  match Validator.verdicts v with
+  | [ a ] ->
+      Alcotest.(check string) "detail"
+        "FLOW_MOD on the wire with no cache backing and no response"
+        a.Alarm.detail
+  | _ -> Alcotest.fail "expected one verdict"
+
 let test_validator_cache_network_mismatch () =
   let engine, v = mk_validator ~k:0 () in
   let dpid = Dpid.of_int 1 in
@@ -832,43 +853,6 @@ let test_report_tie_break () =
   Alcotest.check show "alarms a then b" expected (ranking [ a; b ]);
   Alcotest.check show "alarms b then a" expected (ranking [ b; a ])
 
-let test_audit_log () =
-  let engine, v = mk_validator () in
-  let audit = Jury.Audit.create ~capacity:100 () in
-  Jury.Audit.attach audit v;
-  feed_happy_path engine v;
-  check_bool "evidence + verdict recorded" true (Jury.Audit.length audit >= 8);
-  check_bool "chain verifies" true (Jury.Audit.verify_chain audit);
-  let tau_entries = Jury.Audit.for_taint audit taint in
-  check_bool "all entries concern tau" true
-    (List.length tau_entries = Jury.Audit.length audit);
-  check_bool "controller 1 reported" true
-    (Jury.Audit.by_controller audit 1 <> []);
-  (* verdict present *)
-  check_bool "verdict entry exists" true
-    (List.exists
-       (fun (e : Jury.Audit.entry) ->
-         match e.Jury.Audit.kind with
-         | Jury.Audit.Verdict _ -> true
-         | _ -> false)
-       (Jury.Audit.entries audit));
-  (* capacity bound *)
-  let tiny = Jury.Audit.create ~capacity:3 () in
-  for i = 1 to 10 do
-    Jury.Audit.record_verdict tiny
-      { Alarm.taint = Types.Taint.internal_trigger ~origin:0 ~seq:i;
-        trigger_at = Time.zero;
-        decided_at = Time.ms i;
-        primary = Some 0;
-        suspects = [];
-        term = 0;
-        verdict = Alarm.Ok_valid;
-        detail = "" }
-  done;
-  check_int "bounded" 3 (Jury.Audit.length tiny);
-  check_int "evicted" 7 (Jury.Audit.evicted tiny);
-  check_bool "suffix chain still verifies" true (Jury.Audit.verify_chain tiny)
-
 (* --- Deployment on a live cluster --- *)
 
 let test_deployment_benign_and_faulty () =
@@ -1048,51 +1032,200 @@ let test_zero_churn_byte_identity () =
 
 (* Fuzz: arbitrary response multisets never crash the validator, every
    registered trigger is eventually decided exactly once, and verdicts
-   are deterministic in the input. *)
+   are deterministic in the input. Delivering some responses twice in a
+   row leaves the verdicts alone: each extra copy is discarded, as a
+   duplicate or, once its trigger is decided, as late. *)
 let prop_validator_total =
   QCheck.Test.make ~name:"validator decides everything exactly once"
     ~count:60
     QCheck.(list_of_size (Gen.int_range 0 25)
-              (pair (int_bound 3) (int_bound 5)))
+              (triple (int_bound 3) (int_bound 5) bool))
     (fun deliveries ->
-      let engine = Engine.create () in
-      let v =
-        Validator.create
-          ~ack_peers_of:(fun o -> [ (o + 1) mod 4 ])
-          engine
-          (Jury.Jury_config.make ~k:2 ~timeout:(Time.ms 50) ())
+      let run ~twice =
+        let engine = Engine.create () in
+        let v =
+          Validator.create
+            ~ack_peers_of:(fun o -> [ (o + 1) mod 4 ])
+            engine
+            (Jury.Jury_config.make ~k:2 ~timeout:(Time.ms 50) ())
+        in
+        let taints =
+          Array.init 6 (fun i ->
+              Types.Taint.external_trigger ~primary:(i mod 4) ~serial:i)
+        in
+        Array.iteri
+          (fun i taint ->
+            Validator.register_external v ~taint ~at:Time.zero
+              ~primary:(i mod 4) ~secondaries:[ (i + 1) mod 4 ])
+          taints;
+        List.iter
+          (fun (ctrl, tn, again) ->
+            let taint = taints.(tn) in
+            let body =
+              if ctrl mod 2 = 0 then
+                Response.Execution
+                  { role = (if ctrl = tn mod 4 then `Primary else `Secondary);
+                    actions = response_actions (Dpid.of_int (1 + ctrl)) }
+              else
+                Response.Cache_update
+                  { Event.cache = Names.flowsdb; op = Event.Create;
+                    key = Printf.sprintf "k%d" ctrl; value = "v";
+                    origin = ctrl; seq = tn;
+                    taint = Some (Types.Taint.to_string taint) }
+            in
+            let r =
+              { Response.controller = ctrl; taint;
+                snapshot = Snapshot.pristine; sent_at = Time.zero; term = 0;
+                body }
+            in
+            Validator.deliver v r;
+            if twice && again then Validator.deliver v r)
+          deliveries;
+        Engine.run engine;
+        v
       in
-      let taints =
-        Array.init 6 (fun i ->
-            Types.Taint.external_trigger ~primary:(i mod 4) ~serial:i)
+      let once = run ~twice:false and twice = run ~twice:true in
+      let decided v =
+        Validator.decided_count v = 6 && Validator.pending_count v = 0
       in
-      Array.iteri
-        (fun i taint ->
-          Validator.register_external v ~taint ~at:Time.zero
-            ~primary:(i mod 4) ~secondaries:[ (i + 1) mod 4 ])
-        taints;
-      List.iter
-        (fun (ctrl, tn) ->
-          let taint = taints.(tn) in
-          let body =
-            if ctrl mod 2 = 0 then
-              Response.Execution
-                { role = (if ctrl = tn mod 4 then `Primary else `Secondary);
-                  actions = response_actions (Dpid.of_int (1 + ctrl)) }
-            else
-              Response.Cache_update
-                { Event.cache = Names.flowsdb; op = Event.Create;
-                  key = Printf.sprintf "k%d" ctrl; value = "v";
-                  origin = ctrl; seq = tn;
-                  taint = Some (Types.Taint.to_string taint) }
-          in
-          Validator.deliver v
-            { Response.controller = ctrl; taint;
-              snapshot = Snapshot.pristine; sent_at = Time.zero; term = 0; body })
-        deliveries;
-      Engine.run engine;
-      Validator.decided_count v = Array.length taints
-      && Validator.pending_count v = 0)
+      let discarded v = Validator.duplicate_count v + Validator.late_count v in
+      let copies = List.length (List.filter (fun (_, _, a) -> a) deliveries) in
+      decided once && decided twice
+      && Validator.verdicts once = Validator.verdicts twice
+      && discarded twice = discarded once + copies)
+
+(* FLOW_MOD pairs that are often equal on the wire without being equal
+   as values: [b] is [a] after up to three steps, each either a redraw
+   of one field or a respelling of one field as another value the wire
+   cannot tell apart (an absent [out_port] and [Port.none], a 16-bit
+   field and its 0x10000 wrap, no buffer and 0xffffffff, an untagged
+   VLAN and VID 0xffff, no prefix and 0.0.0.0/0). *)
+let gen_flow_mod_pair =
+  let open QCheck.Gen in
+  let u16 = oneofl [ 0; 1; 0xFFFF; 0x1_0000; 0x1_0001; -1 ] in
+  let none = Jury_openflow.Of_types.Port.none in
+  let ip = Jury_packet.Addr.Ipv4.of_int in
+  let actions =
+    oneof
+      [ list_size (int_bound 3) Test_openflow.gen_action;
+        oneofl
+          [ []; [ Of_action.Output 1 ];
+            [ Of_action.Output 1; Of_action.Strip_vlan ];
+            [ Of_action.Set_tp_dst (-1) ];
+            [ Of_action.Enqueue (1, 0x1_0000_0000) ] ] ]
+  in
+  let redraw (fm : Of_message.flow_mod) =
+    let m = fm.fm_match in
+    let with_match gen f = map (fun x -> { fm with fm_match = f x }) gen in
+    oneof
+      [ map (fun out_port -> { fm with out_port })
+          (oneofl [ None; Some none; Some 0 ]);
+        map (fun priority -> { fm with priority }) u16;
+        map (fun idle_timeout -> { fm with idle_timeout }) u16;
+        map (fun hard_timeout -> { fm with hard_timeout }) u16;
+        map (fun fm_buffer_id -> { fm with fm_buffer_id })
+          (oneofl [ None; Some 0xFFFF_FFFF; Some 0 ]);
+        map (fun cookie -> { fm with cookie }) (oneofl [ 0L; 1L; -1L ]);
+        map (fun command -> { fm with command })
+          (oneofl Of_message.[ Add; Modify; Delete ]);
+        with_match Test_openflow.gen_any_match Fun.id;
+        with_match (oneofl [ None; Some 0; Some 1 ]) (fun in_port ->
+            { m with in_port });
+        with_match
+          (oneofl [ None; Some None; Some (Some 0xFFFF); Some (Some 1) ])
+          (fun dl_vlan -> { m with dl_vlan });
+        with_match
+          (oneofl [ None; Some (ip 0, 0); Some (ip 0, 32); Some (ip 1, 0) ])
+          (fun nw_src -> { m with nw_src });
+        with_match (oneofl [ None; Some 6; Some 0x106 ]) (fun nw_proto ->
+            { m with nw_proto });
+        map (fun actions -> { fm with actions }) actions ]
+  in
+  let respell (fm : Of_message.flow_mod) =
+    let m = fm.fm_match in
+    let wrap x = x + 0x1_0000 in
+    let prefix = function
+      | None -> Some (ip 0, 0)
+      | Some (p, 0) when Jury_packet.Addr.Ipv4.to_int p = 0 -> None
+      | pfx -> pfx
+    in
+    oneofl
+      [ { fm with
+          out_port =
+            (match fm.out_port with
+            | None -> Some none
+            | Some p when p = none -> None
+            | Some p -> Some (wrap p)) };
+        { fm with priority = wrap fm.priority };
+        { fm with idle_timeout = wrap fm.idle_timeout };
+        { fm with hard_timeout = wrap fm.hard_timeout };
+        { fm with
+          fm_buffer_id =
+            (match fm.fm_buffer_id with
+            | None -> Some 0xFFFF_FFFF
+            | Some 0xFFFF_FFFF -> None
+            | Some b -> Some (b + 0x1_0000_0000)) };
+        { fm with
+          fm_match =
+            { m with
+              in_port = Option.map wrap m.in_port;
+              tp_dst = Option.map wrap m.tp_dst;
+              dl_vlan =
+                (match m.dl_vlan with
+                | Some None -> Some (Some 0xFFFF)
+                | Some (Some 0xFFFF) -> Some None
+                | vlan -> vlan) } };
+        { fm with
+          fm_match =
+            { m with nw_src = prefix m.nw_src; nw_dst = prefix m.nw_dst } };
+        { fm with
+          actions =
+            List.map
+              (function
+                | Of_action.Output p -> Of_action.Output (wrap p)
+                | Of_action.Enqueue (p, q) ->
+                    Of_action.Enqueue (p, q + 0x1_0000_0000)
+                | a -> a)
+              fm.actions } ]
+  in
+  let rec steps n fm =
+    if n = 0 then return fm
+    else oneof [ redraw fm; respell fm ] >>= steps (n - 1)
+  in
+  let* m = Test_openflow.gen_any_match in
+  let* acts = actions in
+  let* a = steps 3 (Of_message.flow_mod m acts) in
+  let* n = int_bound 3 in
+  let+ b = steps n a in
+  (a, b)
+
+(* Wire writes are deduplicated on the structured FLOW_MOD: two writes
+   to one switch are one write exactly when their encodings are equal.
+   From one controller the second is a duplicate; from another it joins
+   the first, whose sender alone is blamed for a stray write. *)
+let prop_flow_mod_wire_identity =
+  QCheck.Test.make ~name:"validator FLOW_MOD identity is wire equality"
+    ~count:2000 (QCheck.make gen_flow_mod_pair)
+    (fun (a, b) ->
+      let same = Values.Flow.value a = Values.Flow.value b in
+      let dpid = Dpid.of_int 1 in
+      let writes senders =
+        let _, v = mk_validator ~k:0 () in
+        List.iter2
+          (fun controller flow ->
+            Validator.deliver v
+              { Response.controller;
+                taint = Types.Taint.internal_trigger ~origin:0 ~seq:7;
+                snapshot = Snapshot.pristine; sent_at = Time.zero; term = 0;
+                body = Response.Network_write { dpid; flow } })
+          senders [ a; b ];
+        Validator.flush v;
+        v
+      in
+      let one = writes [ 0; 0 ] and two = writes [ 0; 1 ] in
+      Validator.duplicate_count one = (if same then 1 else 0)
+      && List.map (fun (a : Alarm.t) -> a.Alarm.suspects) (Validator.alarms two)
+         = [ (if same then [ 0 ] else [ 0; 1 ]) ])
 
 let suite =
   [ ("snapshot order-insensitive", `Quick, test_snapshot_order_insensitive);
@@ -1118,6 +1251,7 @@ let suite =
     ("validator timeout missing primary", `Quick, test_validator_timeout_missing_primary);
     ("validator cache-without-network", `Quick, test_validator_cache_without_network);
     ("validator network-without-cache", `Quick, test_validator_network_without_cache);
+    ("validator stray write detail", `Quick, test_validator_stray_write_detail);
     ("validator cache/network mismatch", `Quick, test_validator_cache_network_mismatch);
     ("validator write failure", `Quick, test_validator_write_failure);
     ("validator policy check", `Quick, test_validator_policy_check);
@@ -1136,6 +1270,6 @@ let suite =
      test_zero_churn_byte_identity);
     ("alarm report", `Quick, test_report);
     ("report ties rank by id and name", `Quick, test_report_tie_break);
-    ("audit log", `Quick, test_audit_log);
     ("deployment benign + faulty", `Slow, test_deployment_benign_and_faulty);
-    QCheck_alcotest.to_alcotest prop_validator_total ]
+    QCheck_alcotest.to_alcotest prop_validator_total;
+    QCheck_alcotest.to_alcotest prop_flow_mod_wire_identity ]
