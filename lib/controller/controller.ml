@@ -38,14 +38,9 @@ type t = {
   mutable view_dirty : bool;
   flood : (Of_types.Dpid.t, int list) Hashtbl.t;
       (* per switch: spanning-tree and host ports, sorted *)
-  routes : (Of_types.Dpid.t * Of_types.Dpid.t, route) Hashtbl.t;
+  routes : (Of_types.Dpid.t, Of_types.Dpid.t -> Graph.first_hop) Hashtbl.t;
+      (* per source switch: first hops to every destination, one BFS *)
 }
-
-(* What reactive forwarding reads of a BFS shortest path. *)
-and route =
-  | No_route  (* either switch unknown, or the view is cut between them *)
-  | Local  (* source and destination switch coincide *)
-  | Via of int  (* first-hop out port *)
 
 (* Forward reference: the proactive host-rule app needs planning and
    submission machinery defined further down the module. *)
@@ -214,20 +209,17 @@ let host_ports t dpid =
 (* Planning is a pure function of the view (and of SWITCHDB, which also
    dirties it), so these are memoised until the next [rebuild_view]. *)
 let memo tbl key compute =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
+  match Hashtbl.find tbl key with
+  | v -> v
+  | exception Not_found ->
       let v = compute () in
       Hashtbl.add tbl key v;
       v
 
+(* What reactive forwarding reads of a BFS shortest path. *)
 let route t src dst =
   let g = view t in
-  memo t.routes (src, dst) (fun () ->
-      match Graph.shortest_path g src dst with
-      | None -> No_route
-      | Some ([ _ ] | []) -> Local
-      | Some ((_, _, out) :: _) -> Via out)
+  (memo t.routes src (fun () -> Graph.first_hops g src)) dst
 
 let liveness_master_for_link t d1 d2 =
   match (master_of t d1, master_of t d2) with
@@ -316,7 +308,7 @@ let flow_rule_actions t ~dpid ~rule ~priority ~idle ~out_port ~buffer_id =
 let plan_path_install t ~src_dpid ~in_port ~buffer_id frame
     (dst_dpid, dst_port) =
   match route t src_dpid dst_dpid with
-  | No_route -> plan_flood t src_dpid ~in_port ~buffer_id frame
+  | Graph.No_route -> plan_flood t src_dpid ~in_port ~buffer_id frame
   | hop ->
       (* Hop-by-hop reactive forwarding, as ONOS's reactive app does:
          install a rule only at the switch that raised the PACKET_IN;

@@ -18,7 +18,7 @@ type t = {
   mutable chooser : chooser option;
 }
 
-type handle = { event : event; engine : t }
+type handle = event
 
 (* Process-wide executed-event tally across every engine (and every
    domain — experiment sweeps run one engine per pool task). Updated in
@@ -49,22 +49,18 @@ let schedule_at t ?(footprint = Footprint.opaque) ~at f =
   let event = { live = true; action = f; fp = footprint } in
   t.seq <- t.seq + 1;
   Heap.push t.queue ~key:at ~seq:t.seq event;
-  { event; engine = t }
+  event
 
 let schedule t ?footprint ~after f =
   schedule_at t ?footprint ~at:(Time.add t.clock after) f
 
-let cancel h =
-  ignore h.engine;
-  h.event.live <- false
-
-let is_pending h = h.event.live
+let cancel h = h.live <- false
+let is_pending h = h.live
 
 let every t ~period ?jitter ?footprint f =
   (* A recurrence is a chain of one-shot events; the caller's handle is
      kept pointing at the chain head so cancelling it stops the chain. *)
   let chain = { live = true; action = (fun () -> ()); fp = Footprint.opaque } in
-  let handle = { event = chain; engine = t } in
   let rec arm () =
     let delay =
       match jitter with
@@ -81,9 +77,9 @@ let every t ~period ?jitter ?footprint f =
            end))
   in
   arm ();
-  handle
+  chain
 
-let execute _t event =
+let execute event =
   if event.live then begin
     event.live <- false;
     event.action ()
@@ -95,51 +91,52 @@ let execute _t event =
    within a tie is unobservable — and the chooser only ever sees a tie
    of two or more live events. *)
 let step_choose t choose =
-  match Heap.peek t.queue with
-  | None -> false
-  | Some _ ->
-      let tied = Heap.tied_front t.queue in
-      let dead =
-        List.find_opt (fun (_, _, (e : event)) -> not e.live) tied
-      in
-      let at, seq =
-        match dead with
-        | Some (at, seq, _) -> (at, seq)
-        | None -> (
-            match tied with
-            | [ (at, seq, _) ] -> (at, seq)
-            | _ ->
-                let cands =
-                  Array.of_list
-                    (List.map
-                       (fun (at, seq, (e : event)) ->
-                         { cand_seq = seq; cand_at = at; cand_footprint = e.fp })
-                       tied)
-                in
-                let i = choose cands in
-                if i < 0 || i >= Array.length cands then
-                  invalid_arg "Engine: chooser index out of range";
-                (cands.(i).cand_at, cands.(i).cand_seq))
-      in
-      (match Heap.remove_seq t.queue ~seq with
-      | None -> assert false
-      | Some (_, _, event) ->
-          t.clock <- at;
-          t.executed <- t.executed + 1;
-          execute t event);
-      true
+  if Heap.is_empty t.queue then false
+  else begin
+    let tied = Heap.tied_front t.queue in
+    let dead =
+      List.find_opt (fun (_, _, (e : event)) -> not e.live) tied
+    in
+    let at, seq =
+      match dead with
+      | Some (at, seq, _) -> (at, seq)
+      | None -> (
+          match tied with
+          | [ (at, seq, _) ] -> (at, seq)
+          | _ ->
+              let cands =
+                Array.of_list
+                  (List.map
+                     (fun (at, seq, (e : event)) ->
+                       { cand_seq = seq; cand_at = at; cand_footprint = e.fp })
+                     tied)
+              in
+              let i = choose cands in
+              if i < 0 || i >= Array.length cands then
+                invalid_arg "Engine: chooser index out of range";
+              (cands.(i).cand_at, cands.(i).cand_seq))
+    in
+    (match Heap.remove_seq t.queue ~seq with
+    | None -> assert false
+    | Some (_, _, event) ->
+        t.clock <- at;
+        t.executed <- t.executed + 1;
+        execute event);
+    true
+  end
 
 let step t =
   match t.chooser with
   | Some choose -> step_choose t choose
-  | None -> (
-      match Heap.pop t.queue with
-      | None -> false
-      | Some (at, _, event) ->
-          t.clock <- at;
-          t.executed <- t.executed + 1;
-          execute t event;
-          true)
+  | None ->
+      if Heap.is_empty t.queue then false
+      else begin
+        t.clock <- Heap.min_key t.queue;
+        let event = Heap.pop_min t.queue in
+        t.executed <- t.executed + 1;
+        execute event;
+        true
+      end
 
 let run ?until t =
   let before = t.executed in
@@ -148,14 +145,12 @@ let run ?until t =
   | Some horizon ->
       let continue = ref true in
       while !continue do
-        match Heap.peek t.queue with
-        | None -> continue := false
-        | Some (at, _, _) ->
-            if Time.(at > horizon) then begin
-              t.clock <- horizon;
-              continue := false
-            end
-            else ignore (step t)
+        if Heap.is_empty t.queue then continue := false
+        else if Time.(Heap.min_key t.queue > horizon) then begin
+          t.clock <- horizon;
+          continue := false
+        end
+        else ignore (step t)
       done);
   ignore (Atomic.fetch_and_add global_executed (t.executed - before))
 

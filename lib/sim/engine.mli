@@ -9,7 +9,8 @@
 type t
 
 type handle
-(** Cancellation handle for a scheduled event. *)
+(** Cancellation handle for a scheduled event: the queued event record
+    itself, so scheduling allocates that record and nothing else. *)
 
 val create : ?seed:int -> ?tie:Heap.tie -> unit -> t
 (** [create ?seed ()] makes an engine whose root RNG is seeded with
@@ -101,8 +102,9 @@ type chooser = candidate array -> int
 
 val set_chooser : t -> chooser option -> unit
 (** Install (or remove) the tie chooser. Cancelled events never reach
-    the chooser: they drain silently first, so a chooser always sees
-    [>= 2] live candidates. *)
+    the chooser: they drain first (counted by {!executed_events} like
+    any other event), so a chooser always sees [>= 2] live
+    candidates. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Drains the event queue, advancing simulated time, until the queue
@@ -117,8 +119,10 @@ val pending_events : t -> int
     events; cancelled events are counted until they drain). *)
 
 val executed_events : t -> int
-(** Events this engine has executed so far (cancelled events drain
-    without being counted). *)
+(** Events this engine has taken off its queue so far. A cancelled
+    event stays queued until its timestamp comes up and is counted when
+    it drains, though its callback never runs: scheduling three events,
+    cancelling one and running gives [3] with two callbacks fired. *)
 
 val total_executed : unit -> int
 (** Process-wide executed-event count, summed over every engine on

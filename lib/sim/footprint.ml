@@ -3,7 +3,18 @@ type t =
   | Touches of int list  (* sorted, distinct *)
 
 let opaque = Opaque
-let touches ids = Touches (List.sort_uniq compare ids)
+
+(* Nearly every footprint names one or two resources; those are
+   ordered without sorting, and the caller's list is reused when it is
+   already in order. *)
+let touches = function
+  | ([] | [ _ ]) as ids -> Touches ids
+  | [ a; b ] as ids ->
+      if a < b then Touches ids
+      else if a > b then Touches [ b; a ]
+      else Touches [ a ]
+  | ids -> Touches (List.sort_uniq compare ids)
+
 let is_opaque = function Opaque -> true | Touches _ -> false
 
 (* Both lists sorted ascending. *)

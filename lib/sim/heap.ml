@@ -1,137 +1,188 @@
-type 'a cell = { key : Time.t; seq : int; value : 'a }
-
 type tie = int -> int -> bool
 
 let fifo : tie = ( < )
 let lifo : tie = ( > )
 
-(* Slots at indices >= [size] hold [None]. Keeping raw cells there (the
-   previous representation) pinned every popped payload until a later
-   push happened to overwrite its slot — a space leak proportional to
-   the heap's high-water mark. *)
+(* Struct-of-arrays binary heap: entry [i] is [(keys.(i), seqs.(i),
+   vals.(i))]. Sifts move a hole instead of swapping, so no operation
+   on the pop/push path allocates. Payloads are stored as [Obj.t] so
+   that slots at indices >= [size] can hold the immediate [vacant]
+   rather than a popped payload: a vacated slot never pins what was
+   popped from it. The array is a regular (non-float) block whatever
+   ['a] is, since [vacant] is an immediate and generic array writes
+   check the block's tag, not the static type. *)
 type 'a t = {
-  mutable data : 'a cell option array;
+  mutable keys : int array;
+  mutable seqs : int array;
+  mutable vals : Obj.t array;
   mutable size : int;
   tie : tie;
+  fifo : bool;  (* [tie == fifo]: compare seqs inline, not via the closure *)
 }
 
-let create ?(tie = fifo) () = { data = [||]; size = 0; tie }
+let vacant = Obj.repr ()
+
+let create ?(tie = fifo) () =
+  { keys = [||]; seqs = [||]; vals = [||]; size = 0; tie; fifo = tie == fifo }
+
 let length h = h.size
 let is_empty h = h.size = 0
 
-let less h a b =
-  let c = Time.compare a.key b.key in
-  if c <> 0 then c < 0 else h.tie a.seq b.seq
+(* Does the entry [(k1, s1)] pop before [(k2, s2)]? *)
+let[@inline] before h (k1 : int) s1 (k2 : int) s2 =
+  k1 < k2 || (k1 = k2 && if h.fifo then s1 < s2 else h.tie s1 s2)
 
-let get h i =
-  match h.data.(i) with Some c -> c | None -> assert false
+let[@inline] set h i k s v =
+  Array.unsafe_set h.keys i k;
+  Array.unsafe_set h.seqs i s;
+  Array.unsafe_set h.vals i v
+
+(* Moves entry [j] into slot [i]. *)
+let[@inline] move h ~src:j ~dst:i =
+  set h i (Array.unsafe_get h.keys j) (Array.unsafe_get h.seqs j)
+    (Array.unsafe_get h.vals j)
 
 let grow h =
-  let cap = Array.length h.data in
+  let cap = Array.length h.keys in
   let ncap = if cap = 0 then 16 else cap * 2 in
-  let ndata = Array.make ncap None in
-  Array.blit h.data 0 ndata 0 h.size;
-  h.data <- ndata
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 h.size;
+    b
+  in
+  h.keys <- extend h.keys 0;
+  h.seqs <- extend h.seqs 0;
+  h.vals <- extend h.vals vacant
 
-let sift_up h i0 =
-  let cell = get h i0 in
-  let i = ref i0 in
+(* Fills the hole at [i] with [(k, s, v)], moving the hole up past
+   every ancestor that [(k, s)] pops before. *)
+let sift_up h i k s v =
+  let i = ref i in
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if less h cell (get h parent) then begin
-      h.data.(!i) <- h.data.(parent);
-      h.data.(parent) <- Some cell;
+    if
+      before h k s
+        (Array.unsafe_get h.keys parent)
+        (Array.unsafe_get h.seqs parent)
+    then begin
+      move h ~src:parent ~dst:!i;
       i := parent
     end
     else continue := false
-  done
+  done;
+  set h !i k s v
 
-let push h ~key ~seq value =
-  let cell = { key; seq; value } in
-  if h.size = Array.length h.data then grow h;
-  let i = h.size in
-  h.size <- h.size + 1;
-  h.data.(i) <- Some cell;
-  sift_up h i
-
-let sift_down h i0 =
+(* Fills the hole at [i] with [(k, s, v)], moving the hole down past
+   every smaller child. Entries at indices >= [h.size] are ignored. *)
+let sift_down h i k s v =
   let n = h.size in
-  let cell = get h i0 in
-  let i = ref i0 in
+  let i = ref i in
   let continue = ref true in
   while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < n && less h (get h l) (get h !smallest) then smallest := l;
-    if r < n && less h (get h r) (get h !smallest) then smallest := r;
-    if !smallest <> !i then begin
-      h.data.(!i) <- h.data.(!smallest);
-      h.data.(!smallest) <- Some cell;
-      i := !smallest
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if
+          r < n
+          && before h
+               (Array.unsafe_get h.keys r)
+               (Array.unsafe_get h.seqs r)
+               (Array.unsafe_get h.keys l)
+               (Array.unsafe_get h.seqs l)
+        then r
+        else l
+      in
+      if
+        before h
+          (Array.unsafe_get h.keys c)
+          (Array.unsafe_get h.seqs c)
+          k s
+      then begin
+        move h ~src:c ~dst:!i;
+        i := c
+      end
+      else continue := false
     end
-    else continue := false
-  done
+  done;
+  set h !i k s v
+
+let push h ~key ~seq value =
+  if h.size = Array.length h.keys then grow h;
+  let i = h.size in
+  h.size <- i + 1;
+  sift_up h i (key : Time.t :> int) seq (Obj.repr value)
+
+(* Removes slot [i]: the last entry refills the hole and moves
+   whichever way its new neighbours require. *)
+let delete h i =
+  let last = h.size - 1 in
+  h.size <- last;
+  if i < last then begin
+    let k = Array.unsafe_get h.keys last
+    and s = Array.unsafe_get h.seqs last
+    and v = Array.unsafe_get h.vals last in
+    if
+      i > 0
+      && before h k s
+           (Array.unsafe_get h.keys ((i - 1) / 2))
+           (Array.unsafe_get h.seqs ((i - 1) / 2))
+    then sift_up h i k s v
+    else sift_down h i k s v
+  end;
+  Array.unsafe_set h.vals last vacant
+
+let empty_arg name = invalid_arg ("Heap." ^ name ^ ": empty heap")
+
+let min_key h =
+  if h.size = 0 then empty_arg "min_key";
+  Time.ns (Array.unsafe_get h.keys 0)
+
+let pop_min h =
+  if h.size = 0 then empty_arg "pop_min";
+  let v = Array.unsafe_get h.vals 0 in
+  delete h 0;
+  Obj.obj v
+
+let entry h i = (Time.ns h.keys.(i), h.seqs.(i), Obj.obj h.vals.(i))
+
+let peek h = if h.size = 0 then None else Some (entry h 0)
 
 let pop h =
   if h.size = 0 then None
   else begin
-    let top = get h 0 in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      h.data.(h.size) <- None;
-      sift_down h 0
-    end
-    else h.data.(0) <- None;
-    Some (top.key, top.seq, top.value)
+    let e = entry h 0 in
+    delete h 0;
+    Some e
   end
-
-let peek h =
-  if h.size = 0 then None
-  else
-    let top = get h 0 in
-    Some (top.key, top.seq, top.value)
 
 let tied_front h =
   if h.size = 0 then []
   else begin
-    let min_key = (get h 0).key in
+    let min_key = h.keys.(0) in
     let tied = ref [] in
     for i = h.size - 1 downto 0 do
-      let c = get h i in
-      if Time.compare c.key min_key = 0 then tied := c :: !tied
+      if h.keys.(i) = min_key then tied := entry h i :: !tied
     done;
-    List.map
-      (fun c -> (c.key, c.seq, c.value))
-      (List.sort (fun a b -> compare a.seq b.seq) !tied)
+    List.sort (fun (_, a, _) (_, b, _) -> Int.compare a b) !tied
   end
 
 let remove_seq h ~seq =
-  let found = ref (-1) in
-  let i = ref 0 in
-  while !found < 0 && !i < h.size do
-    if (get h !i).seq = seq then found := !i;
-    incr i
-  done;
-  if !found < 0 then None
-  else begin
-    let c = get h !found in
-    h.size <- h.size - 1;
-    if !found < h.size then begin
-      h.data.(!found) <- h.data.(h.size);
-      h.data.(h.size) <- None;
-      (* The hole is refilled with the last element, which may need to
-         move either way relative to its new parent and children. *)
-      let moved = get h !found in
-      if !found > 0 && less h moved (get h ((!found - 1) / 2)) then
-        sift_up h !found
-      else sift_down h !found
+  let rec find i =
+    if i >= h.size then None
+    else if h.seqs.(i) = seq then begin
+      let e = entry h i in
+      delete h i;
+      Some e
     end
-    else h.data.(!found) <- None;
-    Some (c.key, c.seq, c.value)
-  end
+    else find (i + 1)
+  in
+  find 0
 
 let clear h =
-  h.data <- [||];
+  h.keys <- [||];
+  h.seqs <- [||];
+  h.vals <- [||];
   h.size <- 0

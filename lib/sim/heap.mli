@@ -7,7 +7,11 @@
     with any strict total order on sequence numbers (the hook the
     schedule explorer builds on), and {!tied_front}/{!remove_seq} let a
     scheduler inspect and resolve a timestamp tie one event at a
-    time. *)
+    time.
+
+    Pushing, {!min_key} and {!pop_min} allocate nothing beyond the
+    occasional doubling of the backing arrays, and a removed payload is
+    never kept reachable from the heap. *)
 
 type 'a t
 
@@ -20,7 +24,8 @@ type tie = int -> int -> bool
 
 val fifo : tie
 (** [( < )] — first inserted pops first. The default, and the seed's
-    documented behaviour. *)
+    documented behaviour. A heap created with this very value compares
+    sequence numbers inline instead of calling the closure. *)
 
 val lifo : tie
 (** [( > )] — last inserted pops first; the exact reverse of {!fifo}
@@ -38,8 +43,18 @@ val is_empty : 'a t -> bool
 val push : 'a t -> key:Time.t -> seq:int -> 'a -> unit
 (** [push h ~key ~seq v] inserts [v] with priority [(key, seq)]. *)
 
+val min_key : 'a t -> Time.t
+(** The key of the minimum, without allocating. Raises
+    [Invalid_argument] if the heap is empty. *)
+
+val pop_min : 'a t -> 'a
+(** Removes the minimum and returns its payload, without allocating;
+    read its key first with {!min_key}. Raises [Invalid_argument] if
+    the heap is empty. *)
+
 val pop : 'a t -> (Time.t * int * 'a) option
-(** Removes and returns the minimum, or [None] if empty. *)
+(** Removes and returns the minimum, or [None] if empty. Allocates the
+    result; the event loop uses {!min_key} and {!pop_min} instead. *)
 
 val peek : 'a t -> (Time.t * int * 'a) option
 (** The minimum without removing it, or [None] if empty. *)

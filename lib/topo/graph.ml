@@ -72,9 +72,11 @@ let switch_count t = DpidMap.cardinal t.adj
 let edge_count t = List.length (edges t)
 let copy t = { adj = t.adj }
 
-let bfs_parents t src =
-  (* parent map: dpid -> (parent dpid, parent's local port, our in port) *)
-  let parents = Hashtbl.create 64 in
+(* Breadth-first search from [src], the traversal every query below
+   shares: [reach u local_port remote] runs once per switch first
+   reached, from switch [u] over its [local_port], in visiting order.
+   Returns the visited set. *)
+let bfs t src reach =
   let visited = Hashtbl.create 64 in
   Hashtbl.add visited src ();
   let q = Queue.create () in
@@ -85,11 +87,20 @@ let bfs_parents t src =
       (fun (local_port, remote) ->
         if not (Hashtbl.mem visited remote.dpid) then begin
           Hashtbl.add visited remote.dpid ();
-          Hashtbl.add parents remote.dpid (u, local_port, remote.port);
+          reach u local_port remote;
           Queue.push remote.dpid q
         end)
       (neighbors t u)
   done;
+  visited
+
+(* parent map: dpid -> (parent dpid, parent's local port, our in port) *)
+let bfs_parents t src =
+  let parents = Hashtbl.create 64 in
+  let visited =
+    bfs t src (fun u local_port remote ->
+        Hashtbl.add parents remote.dpid (u, local_port, remote.port))
+  in
   (parents, visited)
 
 let shortest_path t src dst =
@@ -128,22 +139,36 @@ let shortest_path t src dst =
     end
   end
 
+type first_hop = No_route | Local | Via of int
+
+module Dpid_tbl = Hashtbl.Make (Dpid)
+
+(* The BFS tree of [bfs_parents], recording for each switch the first
+   hop of its tree path instead of its parent: the first hop of the
+   path [shortest_path] returns. A [Via] is built once per destination
+   and shared by every lookup. *)
+let first_hops t src =
+  if not (has_switch t src) then fun _ -> No_route
+  else begin
+    let hops = Dpid_tbl.create 64 in
+    ignore
+      (bfs t src (fun u local_port remote ->
+           let hop =
+             if Dpid.equal u src then Via local_port
+             else Dpid_tbl.find hops u
+           in
+           Dpid_tbl.add hops remote.dpid hop));
+    fun dst ->
+      if Dpid.equal dst src then Local
+      else try Dpid_tbl.find hops dst with Not_found -> No_route
+  end
+
 let distances_to t dst =
   let dist = Hashtbl.create 64 in
   Hashtbl.add dist dst 0;
-  let q = Queue.create () in
-  Queue.push dst q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    let du = Hashtbl.find dist u in
-    List.iter
-      (fun (_, remote) ->
-        if not (Hashtbl.mem dist remote.dpid) then begin
-          Hashtbl.add dist remote.dpid (du + 1);
-          Queue.push remote.dpid q
-        end)
-      (neighbors t u)
-  done;
+  ignore
+    (bfs t dst (fun u _ remote ->
+         Hashtbl.add dist remote.dpid (Hashtbl.find dist u + 1)));
   dist
 
 let next_hop_choices t src dst =

@@ -42,6 +42,22 @@ val shortest_path : t -> Dpid.t -> Dpid.t -> (Dpid.t * int * int) list option
     disconnected, [Some []] never occurs; a path from a switch to
     itself is [Some [(s, 0, 0)]]. *)
 
+type first_hop =
+  | No_route  (** either switch is unknown, or no path joins them *)
+  | Local  (** source and destination are the same switch *)
+  | Via of int  (** the source's out port toward the destination *)
+
+val first_hops : t -> Dpid.t -> Dpid.t -> first_hop
+(** [first_hops g src] runs one BFS from [src] and returns a lookup
+    from a destination to the first hop of the path
+    [shortest_path g src dst] would return: [Via out] where that path
+    starts [(src, 0, out)] and has a second hop, [Local] where it is
+    [Some [(src, 0, 0)]], [No_route] where it is [None]. The BFS tree,
+    and hence every port, is the one [shortest_path] walks, so ties
+    between equal-cost paths break the same way. Apply it once per
+    source and reuse the lookup while [g] is unchanged; the lookup
+    does not see later edits to [g]. *)
+
 val next_hop_choices : t -> Dpid.t -> Dpid.t -> (int * Dpid.t) list
 (** Equal-cost first hops from src toward dst: every (out_port,
     neighbor) whose hop distance to dst is exactly one less than

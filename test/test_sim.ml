@@ -175,6 +175,126 @@ let test_heap_pop_releases () =
   done;
   check_int "empty heap pins nothing" 0 !pinned
 
+(* Every vacated slot must let go of its payload, including the slot
+   left behind when an entry moves into a hole and is popped later, and
+   the slots [remove_seq] frees. *)
+let test_heap_vacated_slots_release () =
+  let h = Heap.create () in
+  let weaks = Weak.create 64 in
+  for i = 0 to 63 do
+    let payload = ref i in
+    Weak.set weaks i (Some payload);
+    Heap.push h ~key:(Time.us (i mod 8)) ~seq:i payload
+  done;
+  for i = 0 to 15 do
+    ignore (Heap.remove_seq h ~seq:(4 * i))
+  done;
+  for _ = 1 to 40 do
+    ignore (Heap.pop h)
+  done;
+  Gc.full_major ();
+  let pinned = ref 0 in
+  for i = 0 to 63 do
+    if Weak.check weaks i then incr pinned
+  done;
+  check_int "only queued payloads pinned" (Heap.length h) !pinned;
+  check_int "queued" 8 (Heap.length h)
+
+(* Model-based check: random interleavings of every heap operation
+   against a reference list kept sorted by (key, tie). Keys come from a
+   small range so ties are common; sequence numbers are unique, as the
+   engine's are. *)
+type heap_op = Push of int | Pop | Take | Peek | Remove of int | Tied
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun k -> Push k) (int_bound 12));
+        (1, return Pop);
+        (1, return Take);
+        (1, return Peek);
+        (1, map (fun s -> Remove s) (int_bound 80));
+        (1, return Tied) ])
+
+let print_heap_op = function
+  | Push k -> Printf.sprintf "push %d" k
+  | Pop -> "pop"
+  | Take -> "take"
+  | Peek -> "peek"
+  | Remove s -> Printf.sprintf "remove %d" s
+  | Tied -> "tied"
+
+let prop_heap_model (name, tie) =
+  QCheck.Test.make ~name:("heap matches sorted-list model, " ^ name)
+    ~count:300
+    (QCheck.make
+       ~print:(QCheck.Print.list print_heap_op)
+       QCheck.Gen.(list_size (int_bound 120) heap_op_gen))
+    (fun ops ->
+      let h = Heap.create ~tie () in
+      let cmp (k1, s1, _) (k2, s2, _) =
+        if k1 <> k2 then compare k1 k2
+        else if s1 = s2 then 0
+        else if tie s1 s2 then -1
+        else 1
+      in
+      let model = ref [] and next = ref 0 in
+      let entry (k, s, v) = (Time.ns k, s, v) in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Push k ->
+                let s = !next in
+                incr next;
+                Heap.push h ~key:(Time.ns k) ~seq:s (string_of_int s);
+                model := List.sort cmp ((k, s, string_of_int s) :: !model);
+                true
+            | Pop -> (
+                match !model with
+                | [] -> Heap.pop h = None
+                | m :: rest ->
+                    model := rest;
+                    Heap.pop h = Some (entry m))
+            | Take -> (
+                (* The allocation-free pair the event loop uses. *)
+                match !model with
+                | [] -> (
+                    match Heap.pop_min h with
+                    | _ -> false
+                    | exception Invalid_argument _ -> true)
+                | (k, _, v) :: rest ->
+                    model := rest;
+                    let key = Heap.min_key h in
+                    Time.to_ns key = k && Heap.pop_min h = v)
+            | Peek ->
+                Heap.peek h = Option.map entry (List.nth_opt !model 0)
+            | Remove s -> (
+                match List.find_opt (fun (_, s', _) -> s' = s) !model with
+                | None -> Heap.remove_seq h ~seq:s = None
+                | Some m ->
+                    model := List.filter (fun e -> e != m) !model;
+                    Heap.remove_seq h ~seq:s = Some (entry m))
+            | Tied ->
+                let tied =
+                  match !model with
+                  | [] -> []
+                  | (k, _, _) :: _ ->
+                      List.filter (fun (k', _, _) -> k' = k) !model
+                      |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
+                in
+                Heap.tied_front h = List.map entry tied
+          in
+          ok && Heap.length h = List.length !model)
+        ops)
+
+let heap_model_props =
+  List.map prop_heap_model
+    [ ("fifo", Heap.fifo);
+      ("lifo", Heap.lifo);
+      (* Odd sequence numbers first, each parity class in order. *)
+      ("odd first", fun a b -> (a land 1 = 0, a) < (b land 1 = 0, b)) ]
+
 (* --- Engine --- *)
 
 let test_engine_ordering () =
@@ -196,6 +316,45 @@ let test_engine_cancel () =
   check_bool "not pending" false (Engine.is_pending h);
   Engine.run e;
   check_bool "cancelled never fires" false !fired
+
+let test_engine_cancelled_events_counted () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let hs =
+    List.init 3 (fun i ->
+        Engine.schedule e ~after:(Time.ms (i + 1)) (fun () -> incr fired))
+  in
+  Engine.cancel (List.nth hs 1);
+  Engine.run e;
+  check_int "callbacks fired" 2 !fired;
+  check_int "cancelled event drains and counts" 3 (Engine.executed_events e)
+
+(* Dispatching an event allocates its queued record and nothing else:
+   no option, tuple or wrapper per schedule, step or heap sift. The
+   footprint is passed as a ready-made option because writing
+   [~footprint:fp] boxes [Some fp] at the call site, before the engine
+   is entered. *)
+let test_engine_event_allocation () =
+  let e = Engine.create () in
+  let action () = () in
+  let footprint = Some (Footprint.touches [ Footprint.switch 1 ]) in
+  let dispatch () =
+    ignore (Engine.schedule e ?footprint ~after:Time.zero action);
+    ignore (Engine.step e)
+  in
+  (* Keep a standing queue so every step sifts, and let the queue's
+     arrays reach their final size before counting. *)
+  for i = 1 to 64 do
+    ignore (Engine.schedule e ~after:(Time.sec i) action)
+  done;
+  for _ = 1 to 100 do dispatch () done;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do dispatch () done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check_bool
+    (Printf.sprintf "%.2f minor words per event <= 4" words)
+    true (words <= 4.)
 
 let test_engine_until () =
   let e = Engine.create () in
@@ -304,6 +463,26 @@ let prop_heap_sorted =
               (List.filteri (fun i _ -> i < List.length popped - 1) popped)
               (List.tl popped))
 
+(* The unsorting fast paths for short lists must build exactly the
+   footprint the general sort does: checked through the printed id
+   order and the commutation test. *)
+let prop_footprint_touches =
+  QCheck.Test.make ~name:"footprint touches = sort_uniq" ~count:1000
+    QCheck.(list_of_size Gen.(int_bound 5) (int_bound 6))
+    (fun raw ->
+      let fp = Footprint.touches (List.map Footprint.switch raw) in
+      let expected = List.sort_uniq compare raw in
+      Format.asprintf "%a" Footprint.pp fp
+      = "{"
+        ^ String.concat "," (List.map (Printf.sprintf "sw:%d") expected)
+        ^ "}"
+      && List.for_all
+           (fun i ->
+             Footprint.independent fp
+               (Footprint.touches [ Footprint.switch i ])
+             = not (List.mem i expected))
+           [ 0; 1; 2; 3; 4; 5; 6 ])
+
 let prop_rng_int_bounds =
   QCheck.Test.make ~name:"rng int bounded" ~count:500
     QCheck.(pair int (int_range 1 10_000))
@@ -326,8 +505,14 @@ let suite =
     ("heap ordering", `Quick, test_heap_ordering);
     ("heap fifo on ties", `Quick, test_heap_fifo_ties);
     ("heap pop releases payloads", `Quick, test_heap_pop_releases);
+    ("heap vacated slots release payloads", `Quick,
+     test_heap_vacated_slots_release);
     ("engine ordering", `Quick, test_engine_ordering);
     ("engine cancel", `Quick, test_engine_cancel);
+    ("engine counts drained cancelled events", `Quick,
+     test_engine_cancelled_events_counted);
+    ("engine dispatch allocates the event only", `Quick,
+     test_engine_event_allocation);
     ("engine run until", `Quick, test_engine_until);
     ("engine every", `Quick, test_engine_every);
     ("engine nested schedule", `Quick, test_engine_nested_schedule);
@@ -336,4 +521,6 @@ let suite =
     ("engine every with jitter", `Quick, test_engine_every_jitter);
     ("engine horizon boundary", `Quick, test_engine_run_until_boundary);
     QCheck_alcotest.to_alcotest prop_heap_sorted;
+    QCheck_alcotest.to_alcotest prop_footprint_touches;
     QCheck_alcotest.to_alcotest prop_rng_int_bounds ]
+  @ List.map QCheck_alcotest.to_alcotest heap_model_props

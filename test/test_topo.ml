@@ -209,6 +209,56 @@ let prop_linear_paths =
       | Some hops -> List.length hops = abs (a - b) + 1
       | None -> false)
 
+(* The per-source first-hop table must name the first hop of the very
+   path [shortest_path] returns, on any graph: parallel links, isolated
+   switches, links removed after being added, and a switch the graph
+   has never seen. *)
+let prop_first_hops_match_shortest_path =
+  let link =
+    QCheck.Gen.(quad (int_bound 7) (int_range 1 3) (int_bound 7) bool)
+  in
+  QCheck.Test.make ~name:"first hops = shortest_path first hop" ~count:500
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            pair int
+              (list (fun (a, p, b, rm) ->
+                   Printf.sprintf "%d:%d-%d:%d%s" a p b (p + 1)
+                     (if rm then " (removed)" else ""))))
+        Gen.(pair (int_range 1 8) (list_size (int_bound 16) link)))
+    (fun (n, links) ->
+      let g = Graph.create () in
+      for i = 0 to n - 1 do
+        Graph.add_switch g (d i)
+      done;
+      let links =
+        List.filter_map
+          (fun (a, port, b, rm) ->
+            let a = a mod n and b = b mod n in
+            if a = b then None else Some (ep a port, ep b (port + 1), rm))
+          links
+      in
+      List.iter (fun (e1, e2, _) -> Graph.add_link g e1 e2) links;
+      List.iter
+        (fun (e1, e2, rm) -> if rm then Graph.remove_link g e1 e2)
+        links;
+      let expected src dst =
+        match Graph.shortest_path g src dst with
+        | None -> Graph.No_route
+        | Some [ _ ] -> Graph.Local
+        | Some ((_, _, out) :: _ :: _) -> Graph.Via out
+        | Some [] -> Alcotest.fail "shortest_path returned Some []"
+      in
+      (* Switch [n] is unknown to the graph. *)
+      List.for_all
+        (fun src ->
+          let hops = Graph.first_hops g (d src) in
+          List.for_all
+            (fun dst -> hops (d dst) = expected (d src) (d dst))
+            (List.init (n + 1) Fun.id))
+        (List.init (n + 1) Fun.id))
+
 let suite =
   [ ("add/remove links", `Quick, test_add_remove);
     ("self-loop rejected", `Quick, test_self_loop_rejected);
@@ -229,4 +279,5 @@ let suite =
     ("weighted avoids heavy link", `Quick, test_weighted_avoids_heavy_link);
     ("weighted path weight", `Quick, test_weighted_path_weight);
     ("weighted rejects bad weight", `Quick, test_weighted_rejects_bad_weight);
-    QCheck_alcotest.to_alcotest prop_linear_paths ]
+    QCheck_alcotest.to_alcotest prop_linear_paths;
+    QCheck_alcotest.to_alcotest prop_first_hops_match_shortest_path ]
