@@ -17,20 +17,19 @@ type 'a t = {
   mutable vals : Obj.t array;
   mutable size : int;
   tie : tie;
-  fifo : bool;  (* [tie == fifo]: compare seqs inline, not via the closure *)
 }
 
 let vacant = Obj.repr ()
 
 let create ?(tie = fifo) () =
-  { keys = [||]; seqs = [||]; vals = [||]; size = 0; tie; fifo = tie == fifo }
+  { keys = [||]; seqs = [||]; vals = [||]; size = 0; tie }
 
 let length h = h.size
 let is_empty h = h.size = 0
 
 (* Does the entry [(k1, s1)] pop before [(k2, s2)]? *)
 let[@inline] before h (k1 : int) s1 (k2 : int) s2 =
-  k1 < k2 || (k1 = k2 && if h.fifo then s1 < s2 else h.tie s1 s2)
+  k1 < k2 || (k1 = k2 && h.tie s1 s2)
 
 let[@inline] set h i k s v =
   Array.unsafe_set h.keys i k;
@@ -148,8 +147,6 @@ let pop_min h =
 
 let entry h i = (Time.ns h.keys.(i), h.seqs.(i), Obj.obj h.vals.(i))
 
-let peek h = if h.size = 0 then None else Some (entry h 0)
-
 let pop h =
   if h.size = 0 then None
   else begin
@@ -180,9 +177,3 @@ let remove_seq h ~seq =
     else find (i + 1)
   in
   find 0
-
-let clear h =
-  h.keys <- [||];
-  h.seqs <- [||];
-  h.vals <- [||];
-  h.size <- 0

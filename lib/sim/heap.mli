@@ -3,11 +3,11 @@
     Ties are broken by an insertion sequence number supplied by the
     caller. The default tie-breaker is FIFO on that number, which gives
     the arrival ordering of simultaneous events that a deterministic
-    discrete-event simulation requires; a heap can instead be created
-    with any strict total order on sequence numbers (the hook the
-    schedule explorer builds on), and {!tied_front}/{!remove_seq} let a
-    scheduler inspect and resolve a timestamp tie one event at a
-    time.
+    discrete-event simulation requires. A heap can instead be created
+    with any strict total order on sequence numbers (only tests use
+    one). {!tied_front}/{!remove_seq} let a scheduler, such as the
+    schedule explorer, inspect and resolve a timestamp tie one event at
+    a time.
 
     Pushing, {!min_key} and {!pop_min} allocate nothing beyond the
     occasional doubling of the backing arrays, and a removed payload is
@@ -24,8 +24,7 @@ type tie = int -> int -> bool
 
 val fifo : tie
 (** [( < )] — first inserted pops first. The default, and the seed's
-    documented behaviour. A heap created with this very value compares
-    sequence numbers inline instead of calling the closure. *)
+    documented behaviour. *)
 
 val lifo : tie
 (** [( > )] — last inserted pops first; the exact reverse of {!fifo}
@@ -56,9 +55,6 @@ val pop : 'a t -> (Time.t * int * 'a) option
 (** Removes and returns the minimum, or [None] if empty. Allocates the
     result; the event loop uses {!min_key} and {!pop_min} instead. *)
 
-val peek : 'a t -> (Time.t * int * 'a) option
-(** The minimum without removing it, or [None] if empty. *)
-
 val tied_front : 'a t -> (Time.t * int * 'a) list
 (** Every element whose key equals the minimum key, in ascending
     insertion-sequence order (regardless of the heap's tie-breaker);
@@ -69,6 +65,3 @@ val remove_seq : 'a t -> seq:int -> (Time.t * int * 'a) option
 (** Removes the element inserted with sequence number [seq], wherever
     it sits in the heap; [None] if no such element. O(n) search plus a
     sift. *)
-
-val clear : 'a t -> unit
-(** Discard every element. *)

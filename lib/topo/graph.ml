@@ -73,42 +73,41 @@ let edge_count t = List.length (edges t)
 let copy t = { adj = t.adj }
 
 (* Breadth-first search from [src], the traversal every query below
-   shares: [reach u local_port remote] runs once per switch first
-   reached, from switch [u] over its [local_port], in visiting order.
-   Returns the visited set. *)
-let bfs t src reach =
-  let visited = Hashtbl.create 64 in
-  Hashtbl.add visited src ();
+   shares. [reach u local_port remote] runs once for each switch first
+   reached, from switch [u] over its [local_port], in visiting order,
+   and must record [remote.dpid] so that [seen] holds for it from then
+   on; [seen src] must already hold. Each caller's own table is the
+   visited set. *)
+let bfs t src ~seen reach =
   let q = Queue.create () in
   Queue.push src q;
   while not (Queue.is_empty q) do
     let u = Queue.pop q in
     List.iter
       (fun (local_port, remote) ->
-        if not (Hashtbl.mem visited remote.dpid) then begin
-          Hashtbl.add visited remote.dpid ();
+        if not (seen remote.dpid) then begin
           reach u local_port remote;
           Queue.push remote.dpid q
         end)
       (neighbors t u)
-  done;
-  visited
+  done
 
-(* parent map: dpid -> (parent dpid, parent's local port, our in port) *)
+(* parent map: dpid -> (parent dpid, parent's local port, our in port),
+   for every switch reached from [src] except [src] itself *)
 let bfs_parents t src =
   let parents = Hashtbl.create 64 in
-  let visited =
-    bfs t src (fun u local_port remote ->
-        Hashtbl.add parents remote.dpid (u, local_port, remote.port))
-  in
-  (parents, visited)
+  bfs t src
+    ~seen:(fun d -> Dpid.equal d src || Hashtbl.mem parents d)
+    (fun u local_port remote ->
+      Hashtbl.add parents remote.dpid (u, local_port, remote.port));
+  parents
 
 let shortest_path t src dst =
   if not (has_switch t src && has_switch t dst) then None
   else if Dpid.equal src dst then Some [ (src, 0, 0) ]
   else begin
-    let parents, visited = bfs_parents t src in
-    if not (Hashtbl.mem visited dst) then None
+    let parents = bfs_parents t src in
+    if not (Hashtbl.mem parents dst) then None
     else begin
       (* Walk back from dst, collecting (dpid, in_port) and the parent's
          out_port. *)
@@ -151,24 +150,20 @@ let first_hops t src =
   if not (has_switch t src) then fun _ -> No_route
   else begin
     let hops = Dpid_tbl.create 64 in
-    ignore
-      (bfs t src (fun u local_port remote ->
-           let hop =
-             if Dpid.equal u src then Via local_port
-             else Dpid_tbl.find hops u
-           in
-           Dpid_tbl.add hops remote.dpid hop));
-    fun dst ->
-      if Dpid.equal dst src then Local
-      else try Dpid_tbl.find hops dst with Not_found -> No_route
+    Dpid_tbl.add hops src Local;
+    bfs t src ~seen:(Dpid_tbl.mem hops) (fun u local_port remote ->
+        let hop =
+          if Dpid.equal u src then Via local_port else Dpid_tbl.find hops u
+        in
+        Dpid_tbl.add hops remote.dpid hop);
+    fun dst -> try Dpid_tbl.find hops dst with Not_found -> No_route
   end
 
 let distances_to t dst =
   let dist = Hashtbl.create 64 in
   Hashtbl.add dist dst 0;
-  ignore
-    (bfs t dst (fun u _ remote ->
-         Hashtbl.add dist remote.dpid (Hashtbl.find dist u + 1)));
+  bfs t dst ~seen:(Hashtbl.mem dist) (fun u _ remote ->
+      Hashtbl.add dist remote.dpid (Hashtbl.find dist u + 1));
   dist
 
 let next_hop_choices t src dst =
@@ -190,11 +185,10 @@ let connected t =
   match switches t with
   | [] -> true
   | s :: _ ->
-      let _, visited = bfs_parents t s in
-      Hashtbl.length visited = switch_count t
+      Hashtbl.length (bfs_parents t s) + 1 = switch_count t
 
 let spanning_tree_ports t root =
-  let parents, _ = bfs_parents t root in
+  let parents = bfs_parents t root in
   let ports = Hashtbl.create 64 in
   let add dpid port =
     let cur = Option.value (Hashtbl.find_opt ports dpid) ~default:[] in

@@ -267,8 +267,13 @@ let prop_heap_model (name, tie) =
                     model := rest;
                     let key = Heap.min_key h in
                     Time.to_ns key = k && Heap.pop_min h = v)
-            | Peek ->
-                Heap.peek h = Option.map entry (List.nth_opt !model 0)
+            | Peek -> (
+                match !model with
+                | [] -> (
+                    match Heap.min_key h with
+                    | _ -> false
+                    | exception Invalid_argument _ -> true)
+                | (k, _, _) :: _ -> Time.to_ns (Heap.min_key h) = k)
             | Remove s -> (
                 match List.find_opt (fun (_, s', _) -> s' = s) !model with
                 | None -> Heap.remove_seq h ~seq:s = None
